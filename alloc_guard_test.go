@@ -2,6 +2,7 @@ package fastbcc_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	fastbcc "repro"
@@ -231,5 +232,45 @@ func TestAllocGuardQueryBatch(t *testing.T) {
 	// caller's answer slice allocates nothing.
 	if avg >= 1 {
 		t.Fatalf("256-query batch with recycled dst: %.2f allocs/op, want 0", avg)
+	}
+}
+
+// allocsAndBytesPerRun is testing.AllocsPerRun that also reports the
+// bytes allocated per run.
+func allocsAndBytesPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+func TestAllocGuardMaterialize(t *testing.T) {
+	g := guardGraph(t)
+	del := g.Edges()[g.NumEdges()/2]
+	var out *fastbcc.Graph
+	allocs, bytes := allocsAndBytesPerRun(5, func() {
+		var err error
+		if out, err = fastbcc.MaterializeDeletion(g, del); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if out.NumEdges() != g.NumEdges()-1 {
+		t.Fatalf("materialized %d edges, want %d", out.NumEdges(), g.NumEdges()-1)
+	}
+	// A delta flush patches the CSR: beyond the output arrays it touches
+	// only the changed edges, so it allocates about the output's size in a
+	// handful of allocations. Counting all m edges in a map and rebuilding
+	// from the edge list costs over 7x in ~550 allocations and cannot pass.
+	csr := 4 * float64(len(out.Offsets)+len(out.Adj))
+	t.Logf("materialize with one deletion: %.1f allocs, %.2fx the output CSR", allocs, bytes/csr)
+	if allocs > 32 || bytes > 1.25*csr {
+		t.Fatalf("materialize with one deletion: %.1f allocs, %.2fx the output CSR's %.0f bytes; want <= 32 and <= 1.25x",
+			allocs, bytes/csr, csr)
 	}
 }

@@ -48,6 +48,9 @@ func equalGraphs(t *testing.T, got, want *Graph) {
 	if got.N != want.N {
 		t.Fatalf("N: got %d want %d", got.N, want.N)
 	}
+	if len(got.Offsets) != len(want.Offsets) || len(got.Adj) != len(want.Adj) {
+		t.Fatalf("shape: got %d offsets, %d arcs; want %d, %d", len(got.Offsets), len(got.Adj), len(want.Offsets), len(want.Adj))
+	}
 	for v := 0; v <= int(got.N); v++ {
 		if got.Offsets[v] != want.Offsets[v] {
 			t.Fatalf("Offsets[%d]: got %d want %d", v, got.Offsets[v], want.Offsets[v])

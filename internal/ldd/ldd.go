@@ -196,11 +196,11 @@ func expandOneHop(e *parallel.Exec, g *graph.Graph, frontier []int32, res *Resul
 // count is tracked separately from the next frontier size.
 //
 // The paper's version collects the next frontier in a parallel hash bag
-// (package hashbag) because its edge-parallel claiming can insert a vertex
-// twice. Here every vertex is claimed by exactly one CAS winner and only
-// its claimer can defer it, so duplicates are impossible and one shared
-// cursor-collected buffer (same technique as expandOneHop) is strictly
-// cheaper; DESIGN.md records the substitution. The next frontier holds
+// because its edge-parallel claiming can insert a vertex twice. Here every
+// vertex is claimed by exactly one CAS winner and only its claimer can
+// defer it, so duplicates are impossible and one shared cursor-collected
+// buffer (same technique as expandOneHop) is strictly cheaper; the package
+// comment records the substitution. The next frontier holds
 // deferred walk vertices as well as the walk boundary, so its size is
 // bounded by claims + |frontier|.
 func expandLocal(e *parallel.Exec, g *graph.Graph, frontier []int32, res *Result, filter func(u, w int32) bool, sc *graph.Scratch) ([]int32, int) {

@@ -372,7 +372,13 @@ func (t *task) run() {
 func (t *task) runBlock(lo, hi int) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.pv.CompareAndSwap(nil, &Panic{Value: r, Stack: debug.Stack()})
+			// Publish first: the other workers stop running blocks as soon
+			// as pv is set, not after the stack capture. The submitter reads
+			// Stack only after the join.
+			p := &Panic{Value: r}
+			if t.pv.CompareAndSwap(nil, p) {
+				p.Stack = debug.Stack()
+			}
 		}
 	}()
 	t.body(lo, hi)

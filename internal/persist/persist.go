@@ -68,9 +68,9 @@ const (
 // legitimate snapshot and far below an allocation attack: a lying header
 // costs at most one bounded check, never an unbounded make.
 const (
-	headerSize  = 40
-	dirEntrySize = 20
-	sectionAlign = 64
+	headerSize    = 40
+	dirEntrySize  = 20
+	sectionAlign  = 64
 	formatVersion = 1
 
 	// MaxMeta bounds the meta blob; MaxSections the directory.

@@ -1,9 +1,11 @@
 package fastbcc
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bctree"
@@ -117,8 +119,8 @@ func classifyAdd(idx *Index, e Edge) mutationClass {
 	return classCollapse
 }
 
-// canonEdge returns e with U <= W, the form deltas, overlays, and the
-// materialization counts map all agree on.
+// canonEdge returns e with U <= W, the form deltas, overlays, and
+// materialization all agree on.
 func canonEdge(e Edge) Edge {
 	if e.U > e.W {
 		e.U, e.W = e.W, e.U
@@ -404,6 +406,12 @@ var errDeltasDropped = errors.New("fastbcc: pending deltas dropped")
 // mutation re-kicks it).
 func (s *Store) flushLoop(en *storeEntry, name string) {
 	if d := s.mutationCoalesce; d > 0 {
+		// Drop a kick left over from a FlushDeltas that has returned: it
+		// would skip this window. A live FlushDeltas re-kicks every 1ms.
+		select {
+		case <-en.flushKick:
+		default:
+		}
 		t := time.NewTimer(d)
 		select {
 		case <-t.C:
@@ -624,39 +632,43 @@ func (s *Store) FlushDeltas(ctx context.Context, name string) error {
 // deletions remove one occurrence, saturating to a no-op when none
 // remains — order within the delta list matters for add/delete sequences
 // over the same edge, which is why the queue replays arrival order.
+//
+// Only the touched edges are counted: each one's operations are grouped
+// in arrival order (the overlay first), replayed from its base
+// multiplicity, and the net change is handed to graph.PatchIn, which
+// copies every untouched adjacency list instead of rebuilding the CSR.
 func materializeGraph(e *parallel.Exec, base *Graph, overlay []Edge, deltas []edgeDelta) (*Graph, error) {
-	edges := base.Edges()
-	edges = append(edges, overlay...)
-	hasDel := false
-	for _, d := range deltas {
-		if !d.add {
-			hasDel = true
-			break
-		}
-	}
-	if !hasDel {
-		for _, d := range deltas {
-			edges = append(edges, d.e)
-		}
-		return graph.FromEdgesIn(e, base.NumVertices(), edges, nil)
-	}
-	counts := make(map[Edge]int, len(edges))
-	for _, ed := range edges {
-		counts[canonEdge(ed)]++
+	ops := make([]edgeDelta, 0, len(overlay)+len(deltas))
+	for _, ed := range overlay {
+		ops = append(ops, edgeDelta{add: true, e: canonEdge(ed)})
 	}
 	for _, d := range deltas {
-		ed := canonEdge(d.e)
-		if d.add {
-			counts[ed]++
-		} else if counts[ed] > 0 {
-			counts[ed]--
+		ops = append(ops, edgeDelta{add: d.add, e: canonEdge(d.e)})
+	}
+	slices.SortStableFunc(ops, func(a, b edgeDelta) int {
+		if a.e.U != b.e.U {
+			return cmp.Compare(a.e.U, b.e.U)
+		}
+		return cmp.Compare(a.e.W, b.e.W)
+	})
+	var adds, dels []Edge
+	for i := 0; i < len(ops); {
+		ed := ops[i].e
+		have := base.Multiplicity(ed.U, ed.W)
+		c := have
+		for ; i < len(ops) && ops[i].e == ed; i++ {
+			if ops[i].add {
+				c++
+			} else if c > 0 {
+				c--
+			}
+		}
+		for ; c > have; c-- {
+			adds = append(adds, ed)
+		}
+		for ; c < have; c++ {
+			dels = append(dels, ed)
 		}
 	}
-	out := make([]Edge, 0, len(edges))
-	for ed, c := range counts {
-		for i := 0; i < c; i++ {
-			out = append(out, ed)
-		}
-	}
-	return graph.FromEdgesIn(e, base.NumVertices(), out, nil)
+	return graph.PatchIn(e, base, adds, dels)
 }

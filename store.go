@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -250,8 +250,8 @@ type storeEntry struct {
 	flushes  atomic.Int64 // coalesced delta rebuilds published
 	// flushKick wakes a flusher sleeping out its coalesce window early
 	// (FlushDeltas sends it so a synchronous drain never waits out the
-	// window). Buffered; a stale kick at worst shortens one future
-	// window.
+	// window). Buffered; a new flusher drops a stale kick before its
+	// window starts.
 	flushKick chan struct{}
 
 	// Durability state (see durable.go); all dormant with DataDir unset.
