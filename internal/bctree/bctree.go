@@ -13,13 +13,16 @@
 //     edge per bridge) answers edge-removal questions: how many bridges
 //     separate u from v, and whether they are 2-edge-connected.
 //
-// Construction is parallel and reuses the pipeline's own machinery: the
-// forests are rooted with the Euler tour technique (internal/etour), per
-// tree-node depths come from a parallel prefix sum over the tour's ±1
-// depth deltas, and lowest-common-ancestor queries reduce to a range
-// minimum over the tour-ordered depth array (internal/rmq) — the same
-// structure the Tagging step uses for low/high. Total work is O(n + m);
-// the index retains O(n) words and never aliases scratch memory.
+// Construction is parallel and reuses the pipeline's own machinery. Both
+// forests' edge lists are in hand, so their trees come from one concurrent
+// union-find pass each, as do the 2ECC labels (core.Result.TwoECC, over the
+// spanning forest's parent edges): no connectivity search runs. The forests
+// are rooted with the Euler tour technique (internal/etour), per tree-node
+// depths come from a parallel prefix sum over the tour's ±1 depth deltas,
+// and lowest-common-ancestor queries reduce to a range minimum over the
+// tour-ordered depth array (internal/rmq) — the same structure the Tagging
+// step uses for low/high. Total work is O(n + m); the index retains O(n)
+// words and never aliases scratch memory.
 //
 // All query methods are safe for concurrent use (the index is immutable
 // after New) and the scalar queries perform no allocations. Vertex
@@ -31,13 +34,13 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/conn"
 	"repro/internal/core"
 	"repro/internal/etour"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/prim"
 	"repro/internal/rmq"
+	"repro/internal/uf"
 )
 
 // Index answers connectivity queries over one graph's decomposition.
@@ -96,8 +99,7 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 	// ---- Block-cut forest: root, tour depths, LCA -----------------------
 	nodes := t.NumNodes()
 	forest := t.ForestEdges()
-	cc := conn.Connectivity(t.AsGraph(), conn.Options{Seed: 0xbc7, Exec: e})
-	rt := etour.RootIn(e, nodes, forest, cc.Comp, nil)
+	rt := etour.RootIn(e, nodes, forest, forestComp(e, nodes, forest), nil)
 	x.bcPar, x.bcFirst, x.bcLast = rt.Parent, rt.First, rt.Last
 	x.bcTourDepth = tourDepths(e, rt)
 	x.bcDepth = nodeDepths(e, nodes, rt.First, x.bcTourDepth)
@@ -139,13 +141,8 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 	// Contracting each 2ECC to a node and keeping one edge per bridge
 	// yields a forest (a cycle through k >= 2 components would make each
 	// participating bridge non-bridging).
-	bg, err := graph.FromEdgesIn(e, numEcc, brEdges, nil)
-	if err != nil {
-		panic("bctree: bridge-tree edges out of range: " + err.Error())
-	}
-	bcc := conn.Connectivity(bg, conn.Options{Seed: 0xb21d, Exec: e})
-	x.brComp = bcc.Comp
-	rt2 := etour.RootIn(e, numEcc, brEdges, bcc.Comp, nil)
+	x.brComp = forestComp(e, numEcc, brEdges)
+	rt2 := etour.RootIn(e, numEcc, brEdges, x.brComp, nil)
 	x.brPar, x.brFirst = rt2.Parent, rt2.First
 	x.brTourDepth = tourDepths(e, rt2)
 	x.brDepth = nodeDepths(e, numEcc, rt2.First, x.brTourDepth)
@@ -166,6 +163,21 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 		}
 	})
 	return x
+}
+
+// forestComp returns, for each of the n nodes of the forest with the given
+// edges, the representative of its tree: the tree's largest node id, since
+// uf.UF roots every set at its largest member. etour.RootIn roots each tree
+// at its representative. The edge list is in hand, so one Union per edge
+// replaces a connectivity search.
+func forestComp(e *parallel.Exec, n int, edges []graph.Edge) []int32 {
+	parent := make([]int32, n)
+	e.Iota(parent, 0)
+	u := uf.Wrap(parent)
+	e.For(len(edges), func(i int) { u.Union(edges[i].U, edges[i].W) })
+	comp := make([]int32, n)
+	e.For(n, func(v int) { comp[v] = u.Find(int32(v)) })
+	return comp
 }
 
 // tourDepths turns an Euler tour into per-position depths: a first

@@ -4,9 +4,11 @@
 // diameter decomposition shrinks the graph into clusters with O(βm) cut
 // edges, then a concurrent union-find (Jayanti–Tarjan–Boix-Adserà style)
 // unions the cut edges. With β = Θ(1/log n) this gives O(n+m) expected work
-// and polylog span. FAST-BCC runs it twice: on the input graph (First-CC,
-// producing a spanning forest) and on the implicit skeleton (Last-CC,
-// via the edge Filter, never materializing the skeleton).
+// and polylog span. FAST-BCC runs it once, on the input graph (First-CC),
+// producing a spanning forest as a by-product; Last-CC streams the skeleton
+// arcs into a union-find of its own. The edge Filter restricts a run to a
+// subgraph without materializing it: the GBBS-style baseline
+// (internal/bfsbcc) runs on its implicit skeleton that way.
 //
 // A plain union-find algorithm (UFAsync, the variant GBBS uses) is provided
 // for baselines, and both support the hash-bag/local-search optimization

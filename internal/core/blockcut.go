@@ -16,8 +16,8 @@ import (
 // The tree is stored flat: block nodes get ids 0..NumBlocks-1 (in dense
 // label order), cut nodes follow, and adjacency is one CSR over all nodes.
 // Every array is dense int32 — no maps — so construction is a handful of
-// parallel passes and the structure can be handed to the graph/etour/rmq
-// machinery directly.
+// parallel passes and the Euler-tour machinery can root the tree straight
+// from ForestEdges.
 type BlockCutTree struct {
 	// NumBlocks is the number of block nodes (ids 0..NumBlocks-1).
 	NumBlocks int
@@ -48,13 +48,6 @@ func (t *BlockCutTree) Neighbors(x int32) []int32 {
 // Degree returns the number of tree neighbors of node x.
 func (t *BlockCutTree) Degree(x int32) int {
 	return int(t.Offsets[x+1] - t.Offsets[x])
-}
-
-// AsGraph returns the tree as a *graph.Graph sharing the CSR arrays, so
-// the connectivity/Euler-tour machinery can run over it directly. The
-// view must be treated as immutable.
-func (t *BlockCutTree) AsGraph() *graph.Graph {
-	return &graph.Graph{N: int32(t.NumNodes()), Offsets: t.Offsets, Adj: t.Adj}
 }
 
 // ForestEdges returns the tree edges, each once with U < W. Block ids

@@ -445,15 +445,22 @@ func (r *Result) IsBridge(g *graph.Graph, u, w int32) bool {
 			return false // non-tree edges are never bridges
 		}
 	}
-	// Bridge iff w's skeleton component is the singleton {w}, its head is
-	// u, and the block is exactly {u,w} — i.e. no other vertex shares w's
-	// label — and the edge has multiplicity 1.
-	if r.LabelSizes()[r.Label[w]] != 1 {
+	return r.isTreeBridge(g, r.LabelSizes(), w)
+}
+
+// isTreeBridge reports whether the tree edge (Parent[v], v) is a bridge:
+// no other vertex shares v's label — so v's skeleton component is the
+// singleton {v} and its block is exactly {Parent[v], v} — and the edge has
+// multiplicity 1. count is LabelSizes(). Every bridge is a tree edge, so
+// this test over the n parent edges finds them all.
+func (r *Result) isTreeBridge(g *graph.Graph, count []int32, v int32) bool {
+	p := r.Parent[v]
+	if p == -1 || count[r.Label[v]] != 1 {
 		return false
 	}
 	mult := 0
-	for _, x := range g.Neighbors(u) {
-		if x == w {
+	for _, x := range g.Neighbors(v) {
+		if x == p {
 			mult++
 		}
 	}
@@ -466,23 +473,14 @@ func (r *Result) Bridges(g *graph.Graph) []graph.Edge {
 	count := r.LabelSizes()
 	var out []graph.Edge
 	for v := 0; v < n; v++ {
-		p := r.Parent[v]
-		if p == -1 || count[r.Label[v]] != 1 {
+		if !r.isTreeBridge(g, count, int32(v)) {
 			continue
 		}
-		mult := 0
-		for _, x := range g.Neighbors(int32(v)) {
-			if x == p {
-				mult++
-			}
+		e := graph.Edge{U: r.Parent[v], W: int32(v)}
+		if e.U > e.W {
+			e.U, e.W = e.W, e.U
 		}
-		if mult == 1 {
-			e := graph.Edge{U: p, W: int32(v)}
-			if e.U > e.W {
-				e.U, e.W = e.W, e.U
-			}
-			out = append(out, e)
-		}
+		out = append(out, e)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].U != out[b].U {

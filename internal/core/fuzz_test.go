@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/check"
@@ -8,9 +9,10 @@ import (
 	"repro/internal/seqbcc"
 )
 
-// FuzzBCCMatchesSeq decodes arbitrary bytes into a multigraph (two bytes
-// per edge over at most 64 vertices) and checks FAST-BCC against
-// Hopcroft–Tarjan. Runs its seed corpus under plain `go test`; use
+// FuzzBCCMatchesSeq decodes arbitrary bytes into a multigraph (one byte
+// per edge over 16 vertices) and checks FAST-BCC against Hopcroft–Tarjan,
+// and its 2ECC labels against the filtered-connectivity reference. Runs
+// its seed corpus under plain `go test`; use
 // `go test -fuzz FuzzBCCMatchesSeq ./internal/core` to explore.
 func FuzzBCCMatchesSeq(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x20})             // path
@@ -40,6 +42,9 @@ func FuzzBCCMatchesSeq(f *testing.F) {
 		// Derived structures must stay internally consistent too.
 		if !res.BlockCutTree().IsTree() {
 			t.Fatalf("block-cut forest invariant violated for %v", edges)
+		}
+		if got, want := res.TwoECC(g), FilteredTwoECC(nil, res, g); !slices.Equal(got, want) {
+			t.Fatalf("2ECC labels differ from the filtered reference for %v:\n got %v\nwant %v", edges, got, want)
 		}
 	})
 }

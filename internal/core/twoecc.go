@@ -1,9 +1,10 @@
 package core
 
 import (
-	"repro/internal/conn"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/prim"
+	"repro/internal/uf"
 )
 
 // TwoECC computes the 2-edge-connected components of g from an existing
@@ -12,42 +13,40 @@ import (
 // (every vertex gets a label; isolated vertices are singleton components).
 //
 // This is the bridge-side sibling of the block decomposition: blocks split
-// at articulation points, 2ECCs split at bridges. It reuses the filtered
-// connectivity machinery of Last-CC with a "skip bridges" predicate, so it
-// runs in the same O(n+m) work / polylog span / O(n) space envelope.
+// at articulation points, 2ECCs split at bridges. Every bridge is a tree
+// edge of any spanning forest, and the forest's other edges connect each
+// 2ECC (a forest path between two vertices of one 2ECC that left it would
+// cross some bridge twice). So the 2ECCs are the trees of the spanning
+// forest minus its bridges: one union-find pass over the n parent edges,
+// O(n+m) work (the bridge test scans each child's adjacency at most once)
+// and O(n) space, with no pass over the non-tree arcs.
+//
+// Labels are dense in increasing order of each 2ECC's largest vertex.
 func (r *Result) TwoECC(g *graph.Graph) []int32 { return r.TwoECCIn(nil, g) }
 
 // TwoECCIn is TwoECC running on the execution context e (nil = the
 // process-global default).
 func (r *Result) TwoECCIn(e *parallel.Exec, g *graph.Graph) []int32 {
-	// Per-label member counts identify bridge tree edges: a tree edge
-	// (p(v), v) is a bridge iff v's label is a singleton and the edge has
-	// multiplicity 1 (same logic as Bridges). The counts are exactly
-	// LabelSizes, cached on constructor-built Results.
+	n := len(r.Parent)
 	count := r.LabelSizes()
-	isBridge := func(u, w int32) bool {
-		// Orient to (parent, child).
-		if r.Parent[w] != u {
-			u, w = w, u
-			if r.Parent[w] != u {
-				return false
-			}
+	parent := make([]int32, n)
+	e.Iota(parent, 0)
+	u := uf.Wrap(parent)
+	e.For(n, func(v int) {
+		if p := r.Parent[v]; p != -1 && !r.isTreeBridge(g, count, int32(v)) {
+			u.Union(int32(v), p)
 		}
-		if count[r.Label[w]] != 1 {
-			return false
-		}
-		mult := 0
-		for _, x := range g.Neighbors(w) {
-			if x == u {
-				mult++
-			}
-		}
-		return mult == 1
-	}
-	cc := conn.Connectivity(g, conn.Options{
-		Seed:   0x2ecc,
-		Filter: func(u, w int32) bool { return !isBridge(u, w) },
-		Exec:   e,
 	})
-	return cc.NormalizeIn(e)
+	// uf.UF roots every set at its largest member, so ranking the roots
+	// by a prefix sum orders the labels by each 2ECC's largest vertex.
+	rank := make([]int32, n)
+	e.For(n, func(v int) {
+		if parent[v] == int32(v) {
+			rank[v] = 1
+		}
+	})
+	prim.ExclusiveScanInt32In(e, rank)
+	label := make([]int32, n)
+	e.For(n, func(v int) { label[v] = rank[u.Find(int32(v))] })
+	return label
 }

@@ -53,8 +53,8 @@ type Options struct {
 	// is small (the paper's "Opt" variant, Fig. 6).
 	LocalSearch bool
 	// Filter, when non-nil, restricts the decomposition to edges with
-	// Filter(u, w) true. Used by the Last-CC step to run on the implicit
-	// skeleton without materializing it.
+	// Filter(u, w) true. The GBBS-style baseline (internal/bfsbcc) uses it
+	// to run on its implicit skeleton without materializing it.
 	Filter func(u, w int32) bool
 	// Scratch, when non-nil, supplies the n-sized temporaries (shifts,
 	// frontiers) and backs the returned Center/Parent arrays, whose

@@ -398,28 +398,31 @@ func (s *Store) classifyAndMerge(cur *Snapshot, work **Result, idx **Index, e Ed
 // replaced (generation mismatch) — so the deltas must NOT re-queue.
 var errDeltasDropped = errors.New("fastbcc: pending deltas dropped")
 
-// flushLoop is the per-kick coalescing drain: after the optional
-// coalesce window it repeatedly steals the whole delta queue and runs
-// one rebuild per stolen batch, so any burst that arrives during the
-// window or during a rebuild lands in a single later rebuild. It exits
-// when the queue drains, or parks the deltas back on a failure (the next
-// mutation re-kicks it).
+// flushLoop is the per-kick coalescing drain: it repeatedly waits out
+// the coalesce window, steals the whole delta queue and runs one rebuild
+// per stolen batch, so any burst that arrives during a window or during
+// a rebuild lands in a single later rebuild. Because every rebuild waits
+// out the window first, flush builds never run back to back: on one CPU
+// the serving side gets at least one window between two of them. It
+// exits when the queue drains, or parks the deltas back on a failure
+// (the next mutation re-kicks it).
 func (s *Store) flushLoop(en *storeEntry, name string) {
-	if d := s.mutationCoalesce; d > 0 {
-		// Drop a kick left over from a FlushDeltas that has returned: it
-		// would skip this window. A live FlushDeltas re-kicks every 1ms.
-		select {
-		case <-en.flushKick:
-		default:
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-t.C:
-		case <-en.flushKick:
-			t.Stop()
-		}
-	}
 	for {
+		if d := s.mutationCoalesce; d > 0 {
+			// Drop a kick left over from a FlushDeltas that has returned:
+			// it would skip this window. A live FlushDeltas re-kicks every
+			// 1ms.
+			select {
+			case <-en.flushKick:
+			default:
+			}
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-en.flushKick:
+				t.Stop()
+			}
+		}
 		en.mutMu.Lock()
 		q := en.deltaQ
 		en.deltaQ = nil
@@ -451,7 +454,12 @@ func (s *Store) flushLoop(en *storeEntry, name string) {
 			return
 		}
 		if len(en.deltaQ) == 0 {
+			// Drained: stop now, not after another window, so the next
+			// mutation takes the synchronous path at once.
+			en.flushing = false
 			en.deltaSince = time.Time{}
+			en.mutMu.Unlock()
+			return
 		}
 		en.mutMu.Unlock()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -508,6 +509,71 @@ func TestMutationBurstCoalesces(t *testing.T) {
 	stats := s.Stats()
 	if stats.DeltaFlushes != st.DeltaFlushes || stats.PendingDeltas != 0 {
 		t.Fatalf("store stats disagree: %+v", stats)
+	}
+}
+
+// TestFlushBuildsKeepCoalesceGap pins the flush pacing: mutations that
+// arrive during a flush build wait out one more coalesce window after
+// it, so flush builds never run back to back (on one CPU, back-to-back
+// flushes leave readers no time between builds).
+func TestFlushBuildsKeepCoalesceGap(t *testing.T) {
+	const window = 20 * time.Millisecond
+	s := fastbcc.NewStoreWithConfig(fastbcc.StoreConfig{
+		Workers:          2,
+		MutationCoalesce: window,
+	})
+	defer s.Close()
+	snap, err := s.Load(context.Background(), "g", storeTestGraph(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+
+	// Deletions of an absent edge, arriving faster than the flusher
+	// drains them, so nearly every flush has deltas waiting when it ends.
+	start := time.Now()
+	for time.Since(start) < 150*time.Millisecond {
+		if _, err := s.ApplyBatch(context.Background(), "g",
+			nil, []fastbcc.Edge{{U: 0, W: 4}}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Drain without FlushDeltas, whose kicks skip the window.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := s.Status("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PendingDeltas == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("deltas never drained: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ts, err := s.Trace("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flushes []fastbcc.BuildTrace
+	for _, tr := range ts {
+		if tr.StartedAt.After(start) {
+			flushes = append(flushes, tr)
+		}
+	}
+	slices.SortFunc(flushes, func(a, b fastbcc.BuildTrace) int { return a.StartedAt.Compare(b.StartedAt) })
+	if len(flushes) < 3 {
+		t.Fatalf("%d flush builds in 150ms of mutations, want at least 3", len(flushes))
+	}
+	for i := 1; i < len(flushes); i++ {
+		prev := flushes[i-1]
+		if gap := flushes[i].StartedAt.Sub(prev.StartedAt.Add(prev.Duration)); gap < window {
+			t.Fatalf("flush %d started %v after flush %d ended, want at least the %v window", i, gap, i-1, window)
+		}
 	}
 }
 

@@ -363,7 +363,9 @@ type StoreConfig struct {
 	// unclassifiable mutation arrives before rebuilding, so a burst of N
 	// mutations coalesces into O(1) rebuilds instead of N (0 = flush
 	// immediately; the steal-the-whole-queue drain still coalesces any
-	// mutations that arrive while a flush build is in flight).
+	// mutations that arrive while a flush build is in flight). Mutations
+	// that arrive during a flush build wait one more window after it, so
+	// consecutive flush builds are always at least this far apart.
 	MutationCoalesce time.Duration
 	// DataDir enables durable serving (see durable.go): every full build
 	// persists a checksummed, mmap-able snapshot under DataDir/<graph>/,
