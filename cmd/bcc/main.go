@@ -27,18 +27,12 @@ func main() {
 	genName := flag.String("gen", "", "generate a suite instance by name (e.g. SQR, Chn7)")
 	scale := flag.String("scale", "small", "scale for -gen: small|medium|large")
 	algo := flag.String("algo", "", "algorithm (registry name, default fast; 'list' prints the choices)")
-	alg := flag.String("alg", "", "deprecated alias for -algo (ignored when -algo is set)")
 	threads := flag.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 	localSearch := flag.Bool("opt", false, "enable hash-bag/local-search connectivity")
 	blocks := flag.Bool("blocks", false, "print the blocks (use on small graphs)")
-	reorder := flag.Bool("reorder", false, "relabel so each connected component is a contiguous CSR range before decomposing (locality optimization; printed vertex ids are then the reordered ones)")
 	flag.Parse()
 
 	name := *algo
-	if name == "" && *alg != "" {
-		fmt.Fprintln(os.Stderr, "bcc: -alg is deprecated, use -algo")
-		name = *alg
-	}
 	if name == "list" {
 		for _, a := range fastbcc.Algorithms() {
 			fmt.Printf("%-10s connected-only=%v sequential=%v deterministic=%v\n",
@@ -59,10 +53,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("graph: n=%d m=%d\n", g.NumVertices(), g.NumEdges())
-	if *reorder {
-		g, _ = fastbcc.ReorderByComponent(g, *threads)
-		fmt.Println("reordered: connected components are contiguous id ranges")
-	}
 
 	res := fastbcc.BCC(g, &fastbcc.Options{
 		Algorithm:   name,

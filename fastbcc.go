@@ -116,7 +116,6 @@ package fastbcc
 import (
 	"fmt"
 
-	"repro/internal/conn"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -261,22 +260,6 @@ func NewGraphFromEdges(n int, edges []Edge) (*Graph, error) {
 // temporaries from sc.
 func NewGraphFromEdgesScratch(n int, edges []Edge, sc *Scratch) (*Graph, error) {
 	return graph.FromEdgesScratch(n, edges, sc)
-}
-
-// ReorderByComponent relabels the graph so each connected component
-// occupies a contiguous vertex-id range — the CSR locality optimization
-// the paper applies after First-CC ("re-order the vertices in the CSR
-// format to let each CC be contiguous", Sec. 5). It computes
-// connectivity, returns the reordered graph and the permutation
-// (newID[v] is v's id in the new graph), and caps the work at threads
-// workers (0 = no cap). Decompositions and indexes built on the
-// reordered graph answer queries about newID[v] exactly as the original
-// answers about v; cmd/bccd applies the mapping transparently when a
-// graph is loaded with "reorder": true.
-func ReorderByComponent(g *Graph, threads int) (*Graph, []int32) {
-	e := parallel.Limit(threads)
-	cc := conn.Connectivity(g, conn.Options{Exec: e})
-	return graph.ReorderByComponentIn(e, g, cc.Comp)
 }
 
 // LoadGraph reads a graph from a binary file written by SaveGraph.

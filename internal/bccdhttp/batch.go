@@ -168,31 +168,6 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sc.h.Release()
 
-	// Reordered graphs: translate client ids to served ids in place (we
-	// own the decoded slice). Scalar answers need no inverse map. The
-	// translation indexes fwd, so it bounds-checks first — the engine
-	// only validates what it executes.
-	if vm := s.remapFor(snap); vm != nil {
-		n := uint32(len(vm.fwd))
-		for i := range sc.qs {
-			q := &sc.qs[i]
-			if uint32(q.U) >= n || uint32(q.V) >= n {
-				s.writeError(w, http.StatusBadRequest,
-					"query %d: vertex out of range [0,%d)", i, n)
-				return
-			}
-			q.U, q.V = vm.fwd[q.U], vm.fwd[q.V]
-			if q.Op == fastbcc.OpSeparates {
-				if uint32(q.X) >= n {
-					s.writeError(w, http.StatusBadRequest,
-						"query %d: vertex x=%d out of range [0,%d)", i, q.X, n)
-					return
-				}
-				q.X = vm.fwd[q.X]
-			}
-		}
-	}
-
 	q0 := time.Now()
 	sc.as, err = snap.QueryBatch(ctx, sc.qs, sc.as)
 	if took := time.Since(q0); s.slowQuery > 0 && took >= s.slowQuery {

@@ -152,39 +152,6 @@ func TestServerBatchAcceptNegotiation(t *testing.T) {
 	}
 }
 
-// TestServerBatchReorderTransparent: batches against a reordered graph
-// speak client ids, exactly like the scalar endpoints.
-func TestServerBatchReorderTransparent(t *testing.T) {
-	srv := testServer(t)
-	g := `{"n":14,"edges":[[0,2],[2,4],[4,0],[4,6],[6,8],[8,10],[10,12],[12,6],[1,3],[3,5],[5,7],[7,9],[9,11],[11,13],[13,1]],"reorder":true}`
-	plain := `{"n":14,"edges":[[0,2],[2,4],[4,0],[4,6],[6,8],[8,10],[10,12],[12,6],[1,3],[3,5],[5,7],[7,9],[9,11],[11,13],[13,1]]}`
-	if code, body := do(t, http.MethodPut, srv.URL+"/v1/graphs/reord", g); code != http.StatusOK {
-		t.Fatalf("load reordered: %d %v", code, body)
-	}
-	if code, body := do(t, http.MethodPut, srv.URL+"/v1/graphs/orig", plain); code != http.StatusOK {
-		t.Fatalf("load original: %d %v", code, body)
-	}
-
-	var qs []fastbcc.Query
-	for u := int32(0); u < 14; u++ {
-		for v := int32(0); v < 14; v++ {
-			for op := fastbcc.OpConnected; op <= fastbcc.OpBridgesOnPath; op++ {
-				qs = append(qs, fastbcc.Query{Op: op, U: u, V: v, X: (u + 5) % 14})
-			}
-		}
-	}
-	codeR, asR, _ := postBinaryBatch(t, srv, "reord", qs)
-	codeO, asO, _ := postBinaryBatch(t, srv, "orig", qs)
-	if codeR != http.StatusOK || codeO != http.StatusOK {
-		t.Fatalf("batch status: reordered %d, original %d", codeR, codeO)
-	}
-	for i := range qs {
-		if asR[i] != asO[i] {
-			t.Fatalf("query %d (%+v): %d reordered vs %d original", i, qs[i], asR[i], asO[i])
-		}
-	}
-}
-
 // TestServerBatchValidation: bad ops and out-of-range vertices fail the
 // whole batch with 400 naming the query; oversized batches are shed.
 func TestServerBatchValidation(t *testing.T) {

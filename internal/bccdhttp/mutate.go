@@ -29,12 +29,9 @@ import (
 //     "bcm1" out; package wire), 8 bytes per edge.
 //
 // The response encoding follows the request's unless an Accept header
-// names the other one. Edges are client (original) vertex ids: on a
-// reordered graph the handler translates them through the same forward
-// map as queries, so mutation is reorder-transparent. queued > 0 means
-// those entries are not yet visible to queries — pending and
-// delta_age_ms report the staleness window, which closes when the
-// coalesced rebuild publishes.
+// names the other one. queued > 0 means those entries are not yet
+// visible to queries — pending and delta_age_ms report the staleness
+// window, which closes when the coalesced rebuild publishes.
 
 // jsonMutationRequest is the JSON mutation encoding: edge endpoints as
 // [u,w] pairs.
@@ -163,44 +160,6 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
 		defer cancel()
-	}
-
-	// Reordered graphs: mutations speak client ids like queries do, so
-	// translate through the same forward map. The snapshot pin only
-	// validates the map generation (remapFor rejects a mapping from a
-	// different load); it is released before ApplyBatch, which acquires
-	// its own view under the entry's build lock.
-	if sc.h == nil {
-		sc.h = s.store.NewHandle()
-	}
-	snap, err := sc.h.Acquire(name)
-	if err != nil {
-		status := http.StatusNotFound
-		if errors.Is(err, fastbcc.ErrStoreClosed) {
-			status = http.StatusServiceUnavailable
-		}
-		s.writeError(w, status, "%v", err)
-		return
-	}
-	vm := s.remapFor(snap)
-	sc.h.Release()
-	if vm != nil {
-		n := uint32(len(vm.fwd))
-		translate := func(kind string, es []fastbcc.Edge) bool {
-			for i := range es {
-				e := &es[i]
-				if uint32(e.U) >= n || uint32(e.W) >= n {
-					s.writeError(w, http.StatusBadRequest,
-						"%s %d: vertex out of range [0,%d)", kind, i, n)
-					return false
-				}
-				e.U, e.W = vm.fwd[e.U], vm.fwd[e.W]
-			}
-			return true
-		}
-		if !translate("add", adds) || !translate("del", dels) {
-			return
-		}
 	}
 
 	res, err := s.store.ApplyBatch(ctx, name, adds, dels)

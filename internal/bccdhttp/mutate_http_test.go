@@ -164,63 +164,6 @@ func TestServerMutateBinary(t *testing.T) {
 	}
 }
 
-// TestServerMutateReorderTransparent: mutations against a reordered
-// graph speak client ids, and after a flush the reordered and plain
-// twins answer every query identically.
-func TestServerMutateReorderTransparent(t *testing.T) {
-	srv, store := mutateServer(t)
-	edges := `[[0,2],[2,4],[4,0],[4,6],[6,8],[8,10],[10,12],[12,6],[1,3],[3,5],[5,7],[7,9],[9,11],[11,13],[13,1]]`
-	if code, body := do(t, http.MethodPut, srv.URL+"/v1/graphs/reord",
-		`{"n":14,"edges":`+edges+`,"reorder":true}`); code != http.StatusOK {
-		t.Fatalf("load reordered: %d %v", code, body)
-	}
-	if code, body := do(t, http.MethodPut, srv.URL+"/v1/graphs/orig",
-		`{"n":14,"edges":`+edges+`}`); code != http.StatusOK {
-		t.Fatalf("load original: %d %v", code, body)
-	}
-
-	// {0,1} joins the even and odd cycles — unclassifiable (different
-	// components), so it queues on both graphs; {2,4} is a fast parallel
-	// edge inside the even cycle's block.
-	for _, name := range []string{"reord", "orig"} {
-		code, body := postMutation(t, srv, name, `{"add":[[0,1],[2,4]]}`)
-		if code != http.StatusOK {
-			t.Fatalf("%s mutate: %d %v", name, code, body)
-		}
-		if body["queued"] != float64(1) || body["fast"] != float64(1) {
-			t.Fatalf("%s mutate result: %v", name, body)
-		}
-		if err := store.FlushDeltas(context.Background(), name); err != nil {
-			t.Fatalf("%s flush: %v", name, err)
-		}
-	}
-
-	var qs []fastbcc.Query
-	for u := int32(0); u < 14; u++ {
-		for v := int32(0); v < 14; v++ {
-			for op := fastbcc.OpConnected; op <= fastbcc.OpBridgesOnPath; op++ {
-				qs = append(qs, fastbcc.Query{Op: op, U: u, V: v, X: (u + 5) % 14})
-			}
-		}
-	}
-	codeR, asR, _ := postBinaryBatch(t, srv, "reord", qs)
-	codeO, asO, _ := postBinaryBatch(t, srv, "orig", qs)
-	if codeR != http.StatusOK || codeO != http.StatusOK {
-		t.Fatalf("batch status: reordered %d, original %d", codeR, codeO)
-	}
-	for i := range qs {
-		if asR[i] != asO[i] {
-			t.Fatalf("query %d (%+v): %d reordered vs %d original", i, qs[i], asR[i], asO[i])
-		}
-	}
-
-	// Client ids out of the reordered map's range are rejected before
-	// translation can index anything.
-	if code, body := postMutation(t, srv, "reord", `{"add":[[0,99]]}`); code != http.StatusBadRequest {
-		t.Fatalf("out-of-range client id: %d %v", code, body)
-	}
-}
-
 // TestMutationMetricsExactCounts drives a known mutation mix and asserts
 // the scraped mutation series exactly: the per-class counters, the
 // coalesced flush-size histogram (one unit per second, so _sum is the

@@ -27,16 +27,6 @@ import (
 // load it by path.
 const maxBodyBytes = 64 << 20
 
-// vertexMap is the id translation installed when a graph is loaded with
-// "reorder": true. fwd maps a client (original) vertex id to the served
-// (reordered) id; inv is the inverse, applied to vertices the server
-// returns (cut/bridge enumerations). Queries and answers therefore always
-// speak the client's original ids — the reorder is a pure server-side
-// locality optimization.
-type vertexMap struct {
-	fwd, inv []int32
-}
-
 type server struct {
 	store *fastbcc.Store
 	mux   *http.ServeMux
@@ -46,17 +36,6 @@ type server struct {
 	log       *obs.Logger
 	metrics   *httpMetrics
 	slowQuery time.Duration
-
-	// mu guards remaps: the per-name vertex translation of graphs loaded
-	// with "reorder". Absent name = identity. RWMutex so concurrent
-	// queries (read-only lookups) never serialize on each other. A query
-	// racing its own graph's replacement can observe a snapshot from one
-	// load and the mapping from another; remapFor rejects any mapping
-	// whose cardinality does not match the acquired snapshot, so the
-	// worst outcome of that self-inflicted race is an identity-mapped
-	// answer from the transition window — never an out-of-range id.
-	mu     sync.RWMutex
-	remaps map[string]*vertexMap
 
 	// scratch pools per-request batch state: the decoded query and
 	// answer slices, the response frame buffer, and an epoch Handle, so
@@ -94,7 +73,6 @@ func NewHandler(store *fastbcc.Store, cfg Config) http.Handler {
 	s := &server{
 		store:     store,
 		mux:       http.NewServeMux(),
-		remaps:    map[string]*vertexMap{},
 		log:       cfg.Logger,
 		metrics:   newHTTPMetrics(),
 		slowQuery: cfg.SlowQuery,
@@ -195,18 +173,17 @@ func buildCtx(r *http.Request, timeoutMS int) (context.Context, context.CancelFu
 // the snapshot described by the rest of the payload is then the
 // last-good version still being served.
 type graphInfo struct {
-	Name      string  `json:"name"`
-	Version   int64   `json:"version"`
-	Algo      string  `json:"algo"`
-	N         int     `json:"n"`
-	M         int     `json:"m"`
-	Blocks    int     `json:"blocks"`
-	Cuts      int     `json:"cuts"`
-	Bridges   int     `json:"bridges"`
-	TwoECC    int     `json:"two_ecc"`
-	Reordered bool    `json:"reordered,omitempty"`
-	BuildMS   float64 `json:"build_ms"`
-	BuiltAt   string  `json:"built_at"`
+	Name    string  `json:"name"`
+	Version int64   `json:"version"`
+	Algo    string  `json:"algo"`
+	N       int     `json:"n"`
+	M       int     `json:"m"`
+	Blocks  int     `json:"blocks"`
+	Cuts    int     `json:"cuts"`
+	Bridges int     `json:"bridges"`
+	TwoECC  int     `json:"two_ecc"`
+	BuildMS float64 `json:"build_ms"`
+	BuiltAt string  `json:"built_at"`
 	// Phases breaks BuildMS down into the paper's four pipeline phases
 	// (first_cc, rooting, tagging, last_cc) for the serving snapshot.
 	Phases *phasesMS `json:"last_build_phases_ms,omitempty"`
@@ -244,38 +221,6 @@ type graphStatusInfo struct {
 	LastErrorAt         string `json:"last_error_at,omitempty"`
 }
 
-// remap returns the vertex translation of name, or nil for identity.
-func (s *server) remap(name string) *vertexMap {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.remaps[name]
-}
-
-// remapFor returns the vertex translation to apply to a query against
-// snap, or nil for identity. A mapping whose cardinality does not match
-// the snapshot's vertex count belongs to a different load generation
-// (the client replaced the graph while querying it) and is rejected —
-// applying it could index out of range on either side of the
-// translation.
-func (s *server) remapFor(snap *fastbcc.Snapshot) *vertexMap {
-	vm := s.remap(snap.Name)
-	if vm == nil || len(vm.fwd) != snap.Graph.NumVertices() {
-		return nil
-	}
-	return vm
-}
-
-// setRemap installs (or, with nil, clears) the vertex translation of name.
-func (s *server) setRemap(name string, m *vertexMap) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m == nil {
-		delete(s.remaps, name)
-	} else {
-		s.remaps[name] = m
-	}
-}
-
 func (s *server) info(snap *fastbcc.Snapshot) graphInfo {
 	var phases *phasesMS
 	if snap.Result != nil {
@@ -283,19 +228,18 @@ func (s *server) info(snap *fastbcc.Snapshot) graphInfo {
 		phases = &p
 	}
 	gi := graphInfo{
-		Phases:    phases,
-		Name:      snap.Name,
-		Version:   snap.Version,
-		Algo:      snap.Algorithm,
-		N:         snap.Graph.NumVertices(),
-		M:         snap.NumEdges(),
-		Blocks:    snap.Index.NumBlocks(),
-		Cuts:      snap.Index.NumCutVertices(),
-		Bridges:   snap.Index.NumBridges(),
-		TwoECC:    snap.Index.NumTwoECC(),
-		Reordered: s.remapFor(snap) != nil,
-		BuildMS:   float64(snap.BuildTime.Microseconds()) / 1000,
-		BuiltAt:   snap.BuiltAt.UTC().Format(timeFmt),
+		Phases:  phases,
+		Name:    snap.Name,
+		Version: snap.Version,
+		Algo:    snap.Algorithm,
+		N:       snap.Graph.NumVertices(),
+		M:       snap.NumEdges(),
+		Blocks:  snap.Index.NumBlocks(),
+		Cuts:    snap.Index.NumCutVertices(),
+		Bridges: snap.Index.NumBridges(),
+		TwoECC:  snap.Index.NumTwoECC(),
+		BuildMS: float64(snap.BuildTime.Microseconds()) / 1000,
+		BuiltAt: snap.BuiltAt.UTC().Format(timeFmt),
 	}
 	if st, err := s.store.Status(snap.Name); err == nil {
 		gi.PendingDeltas = st.PendingDeltas
@@ -378,11 +322,6 @@ type loadRequest struct {
 	Threads     int        `json:"threads"`
 	LocalSearch bool       `json:"local_search"`
 	Source      int32      `json:"source"`
-	// Reorder relabels the graph before serving so each connected
-	// component occupies a contiguous CSR range (the paper's locality
-	// optimization). Transparent to clients: queries and answers keep
-	// using the ids of the loaded edge list.
-	Reorder bool `json:"reorder"`
 	// TimeoutMS bounds this build; past the deadline it is cooperatively
 	// canceled (504) and the entry keeps its previous snapshot. It can
 	// only tighten the server-wide -build-timeout, never extend it.
@@ -420,16 +359,6 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var vm *vertexMap
-	if req.Reorder {
-		rg, fwd := fastbcc.ReorderByComponent(g, req.Threads)
-		inv := make([]int32, len(fwd))
-		for v, nv := range fwd {
-			inv[nv] = int32(v)
-		}
-		g = rg
-		vm = &vertexMap{fwd: fwd, inv: inv}
-	}
 	opts := &fastbcc.Options{Algorithm: req.Algo, Seed: req.Seed, Threads: req.Threads, LocalSearch: req.LocalSearch, Source: req.Source}
 	ctx, cancel := buildCtx(r, req.TimeoutMS)
 	defer cancel()
@@ -439,9 +368,6 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		s.writeBuildError(w, err)
 		return
 	}
-	// A load without reorder replacing a reordered entry clears the
-	// translation along with the graph it described.
-	s.setRemap(name, vm)
 	defer snap.Release()
 	s.log.Info("graph loaded", "graph", name, "version", snap.Version,
 		"algo", snap.Algorithm, "n", snap.Graph.NumVertices(), "m", snap.Graph.NumEdges(),
@@ -519,7 +445,6 @@ func (s *server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("graph removed", "graph", name)
-	s.setRemap(name, nil)
 	s.writeJSON(w, http.StatusOK, map[string]bool{"removed": true})
 }
 
@@ -567,25 +492,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	idx := snap.Index
 	n := snap.Graph.NumVertices()
 
-	// Reordered graphs: clients keep speaking original ids; fwd maps them
-	// to the served CSR and inv maps enumerated vertices back.
-	var fwd, inv []int32
-	if vm := s.remapFor(snap); vm != nil {
-		fwd, inv = vm.fwd, vm.inv
-	}
-	toServed := func(v int32) int32 {
-		if fwd != nil {
-			return fwd[v]
-		}
-		return v
-	}
-	toClient := func(v int32) int32 {
-		if inv != nil {
-			return inv[v]
-		}
-		return v
-	}
-
 	u, err := vertexParam(r, "u", n)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
@@ -596,9 +502,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The response echoes the client's ids; the index sees served ids.
 	resp := queryResponse{Graph: snap.Name, Version: snap.Version, Op: op, U: u, V: v}
-	u, v = toServed(u), toServed(v)
 	list := r.URL.Query().Get("list") != ""
 	setBool := func(b bool) { resp.Result = &b }
 	setCount := func(c int) { resp.Count = &c }
@@ -617,16 +521,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.X = &x
-		setBool(idx.Separates(toServed(x), u, v))
+		setBool(idx.Separates(x, u, v))
 	case "cuts":
 		setCount(idx.NumCutsOnPath(u, v))
 		if list {
 			cuts := idx.CutsOnPath(u, v)
 			if cuts == nil {
 				cuts = []int32{}
-			}
-			for i := range cuts {
-				cuts[i] = toClient(cuts[i])
 			}
 			resp.Cuts = cuts
 		}
@@ -636,7 +537,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			bridges := idx.BridgesOnPath(u, v)
 			resp.Bridges = make([][2]int32, len(bridges))
 			for i, b := range bridges {
-				resp.Bridges[i] = [2]int32{toClient(b.U), toClient(b.W)}
+				resp.Bridges[i] = [2]int32{b.U, b.W}
 			}
 		}
 	default:

@@ -1,12 +1,14 @@
 package bccdhttp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	fastbcc "repro"
 )
@@ -194,97 +196,113 @@ func TestServerAlgorithmSelection(t *testing.T) {
 	}
 }
 
-// TestServerReorderTransparent loads the same graph with and without
-// "reorder": true and requires byte-identical query answers for every op
-// — the component reorder is a server-side locality optimization, so
-// clients must keep speaking the ids of the edge list they loaded.
-func TestServerReorderTransparent(t *testing.T) {
-	srv := testServer(t)
-
-	// A graph whose natural ids interleave two components, so the
-	// reorder genuinely permutes: even ids form a triangle-bridge-square
-	// chain, odd ids an independent cycle.
-	g := `{"n":14,"edges":[[0,2],[2,4],[4,0],[4,6],[6,8],[8,10],[10,12],[12,6],[1,3],[3,5],[5,7],[7,9],[9,11],[11,13],[13,1]],"reorder":true}`
-	plain := `{"n":14,"edges":[[0,2],[2,4],[4,0],[4,6],[6,8],[8,10],[10,12],[12,6],[1,3],[3,5],[5,7],[7,9],[9,11],[11,13],[13,1]]}`
-
-	code, body := do(t, http.MethodPut, srv.URL+"/v1/graphs/reord", g)
-	if code != http.StatusOK {
-		t.Fatalf("load reordered: %d %v", code, body)
-	}
-	if body["reordered"] != true {
-		t.Fatalf("load response lacks reordered flag: %v", body)
-	}
-	code, body = do(t, http.MethodPut, srv.URL+"/v1/graphs/orig", plain)
-	if code != http.StatusOK {
-		t.Fatalf("load original: %d %v", code, body)
-	}
-	if _, ok := body["reordered"]; ok {
-		t.Fatalf("plain load reports reordered: %v", body)
+// TestServerRestartKeepsLoadedIDs: a graph served from a durable store
+// answers in the vertex ids it was loaded with across Persist, a clean
+// shutdown, Recover and a new handler. The load carries a legacy field
+// that older servers used to relabel the graph; the handler now ignores
+// it like any unknown field. Every answer must equal that of an
+// in-memory twin given the same graph and mutation.
+func TestServerRestartKeepsLoadedIDs(t *testing.T) {
+	// Even ids form a triangle-bridge-square chain, odd ids a separate
+	// cycle, so the two components interleave in id space.
+	const n = 14
+	const edges = `[[0,2],[2,4],[4,0],[4,6],[6,8],[8,10],[10,12],[12,6],[1,3],[3,5],[5,7],[7,9],[9,11],[11,13],[13,1]]`
+	dir := t.TempDir()
+	serve := func() (*fastbcc.Store, *httptest.Server) {
+		store := fastbcc.NewStoreWithConfig(fastbcc.StoreConfig{DataDir: dir, MutationCoalesce: time.Hour})
+		srv := httptest.NewServer(NewHandler(store, Config{}))
+		t.Cleanup(func() {
+			srv.Close()
+			store.Close()
+		})
+		return store, srv
 	}
 
-	ops := []string{
-		"query/connected?u=%d&v=%d",
-		"query/biconnected?u=%d&v=%d",
-		"query/twoecc?u=%d&v=%d",
-		"query/cuts?u=%d&v=%d&list=1",
-		"query/bridges?u=%d&v=%d&list=1",
+	store, srv := serve()
+	twin, _ := mutateServer(t)
+	for _, c := range []struct {
+		srv  *httptest.Server
+		load string
+	}{
+		{srv, `{"n":14,"edges":` + edges + `,"reorder":true}`},
+		{twin, `{"n":14,"edges":` + edges + `}`},
+	} {
+		if code, body := do(t, http.MethodPut, c.srv.URL+"/v1/graphs/g", c.load); code != http.StatusOK {
+			t.Fatalf("load %s: %d %v", c.load, code, body)
+		}
+		// {2,4} parallels a triangle edge: a fast-path overlay insertion.
+		if code, body := postMutation(t, c.srv, "g", `{"add":[[2,4]]}`); code != http.StatusOK || body["fast"] != float64(1) {
+			t.Fatalf("mutate: %d %v", code, body)
+		}
 	}
-	for u := 0; u < 14; u++ {
-		for v := 0; v < 14; v++ {
-			for _, op := range ops {
-				q := fmt.Sprintf(op, u, v)
-				codeR, r := do(t, http.MethodGet, srv.URL+"/v1/graphs/reord/"+q, "")
-				codeO, o := do(t, http.MethodGet, srv.URL+"/v1/graphs/orig/"+q, "")
-				if codeR != http.StatusOK || codeO != http.StatusOK {
-					t.Fatalf("%s: status %d vs %d", q, codeR, codeO)
+	if err := store.Persist("g"); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	store.Close()
+
+	store, srv = serve()
+	rep, err := store.Recover(context.Background())
+	if err != nil || len(rep.Graphs) != 1 || len(rep.Failures) != 0 {
+		t.Fatalf("recover: %+v, %v", rep, err)
+	}
+
+	var qs []fastbcc.Query
+	for u := int32(0); u < n; u++ {
+		for v := int32(0); v < n; v++ {
+			for op := fastbcc.OpConnected; op <= fastbcc.OpBridgesOnPath; op++ {
+				if op != fastbcc.OpSeparates {
+					qs = append(qs, fastbcc.Query{Op: op, U: u, V: v})
+					continue
 				}
-				for _, key := range []string{"result", "count", "u", "v"} {
-					if fmt.Sprint(r[key]) != fmt.Sprint(o[key]) {
-						t.Fatalf("%s: %s = %v reordered vs %v original", q, key, r[key], o[key])
-					}
-				}
-				// Enumerations come back in the client id space; compare
-				// as sets.
-				if fmt.Sprint(asSet(r["cuts"])) != fmt.Sprint(asSet(o["cuts"])) {
-					t.Fatalf("%s: cuts %v vs %v", q, r["cuts"], o["cuts"])
-				}
-				if fmt.Sprint(asSet(r["bridges"])) != fmt.Sprint(asSet(o["bridges"])) {
-					t.Fatalf("%s: bridges %v vs %v", q, r["bridges"], o["bridges"])
-				}
-			}
-			// separates with every x.
-			for x := 0; x < 14; x++ {
-				q := fmt.Sprintf("query/separates?x=%d&u=%d&v=%d", x, u, v)
-				_, r := do(t, http.MethodGet, srv.URL+"/v1/graphs/reord/"+q, "")
-				_, o := do(t, http.MethodGet, srv.URL+"/v1/graphs/orig/"+q, "")
-				if fmt.Sprint(r["result"]) != fmt.Sprint(o["result"]) {
-					t.Fatalf("%s: %v reordered vs %v original", q, r["result"], o["result"])
+				for x := int32(0); x < n; x++ {
+					qs = append(qs, fastbcc.Query{Op: op, U: u, V: v, X: x})
 				}
 			}
 		}
 	}
+	code, got, _ := postBinaryBatch(t, srv, "g", qs)
+	codeT, want, _ := postBinaryBatch(t, twin, "g", qs)
+	if code != http.StatusOK || codeT != http.StatusOK {
+		t.Fatalf("batch status: restarted %d, twin %d", code, codeT)
+	}
+	wrong := 0
+	for i := range qs {
+		if got[i] != want[i] {
+			if wrong == 0 {
+				t.Errorf("query %+v: %d restarted vs %d twin", qs[i], got[i], want[i])
+			}
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Fatalf("%d of %d batch answers differ after the restart", wrong, len(qs))
+	}
 
-	// Rebuild keeps the translation; stats keep reporting it.
-	code, body = do(t, http.MethodPost, srv.URL+"/v1/graphs/reord/rebuild", "")
-	if code != http.StatusOK || body["reordered"] != true {
-		t.Fatalf("rebuild lost the reorder flag: %d %v", code, body)
+	// The enumerations, as sets: cut vertices, and bridges with their
+	// endpoints in ascending order.
+	set := func(v any) map[string]bool {
+		out := map[string]bool{}
+		list, _ := v.([]any)
+		for _, e := range list {
+			if p, ok := e.([]any); ok && p[0].(float64) > p[1].(float64) {
+				e = []any{p[1], p[0]}
+			}
+			out[fmt.Sprint(e)] = true
+		}
+		return out
 	}
-	// Replacing the graph without reorder clears the translation.
-	code, body = do(t, http.MethodPut, srv.URL+"/v1/graphs/reord", plain)
-	if code != http.StatusOK {
-		t.Fatalf("replace: %d %v", code, body)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			for _, op := range []string{"cuts", "bridges"} {
+				q := fmt.Sprintf("/v1/graphs/g/query/%s?u=%d&v=%d&list=1", op, u, v)
+				code, r := do(t, http.MethodGet, srv.URL+q, "")
+				codeT, o := do(t, http.MethodGet, twin.URL+q, "")
+				if code != http.StatusOK || codeT != http.StatusOK ||
+					fmt.Sprint(set(r[op])) != fmt.Sprint(set(o[op])) {
+					t.Fatalf("%s: restarted %d %v vs twin %d %v", q, code, r[op], codeT, o[op])
+				}
+			}
+		}
 	}
-	if _, ok := body["reordered"]; ok {
-		t.Fatalf("replacement load still reports reordered: %v", body)
-	}
-}
-
-// asSet canonicalizes a JSON list for order-insensitive comparison.
-func asSet(v any) map[string]bool {
-	out := map[string]bool{}
-	list, _ := v.([]any)
-	for _, e := range list {
-		out[fmt.Sprint(e)] = true
-	}
-	return out
 }

@@ -1,7 +1,7 @@
 // Package graph provides the compressed-sparse-row (CSR) graph substrate
 // shared by every algorithm in this repository: construction from edge
-// lists, symmetrization, parallel BFS, component reordering, statistics,
-// and a simple binary interchange format.
+// lists, symmetrization, parallel BFS, statistics, and a simple binary
+// interchange format.
 //
 // Vertices are int32 ids in [0, N). Graphs are undirected and stored with
 // both arc directions in the adjacency array, matching the paper's setting

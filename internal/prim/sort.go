@@ -14,19 +14,14 @@ import (
 // keys become contiguous, and within a bucket the original order is kept.
 // Work O(n + nBuckets), span polylogarithmic (two scans plus scatters).
 func CountingSortByKey(n int, nBuckets int32, key func(i int) int32) (perm []int32, offsets []int32) {
-	return CountingSortByKeyIn(nil, n, nBuckets, key)
+	return CountingSortByKeyArena(nil, n, nBuckets, key, nil)
 }
 
-// CountingSortByKeyIn is CountingSortByKey running on the execution
-// context e (nil = default).
-func CountingSortByKeyIn(e *parallel.Exec, n int, nBuckets int32, key func(i int) int32) (perm []int32, offsets []int32) {
-	return CountingSortByKeyArena(e, n, nBuckets, key, nil)
-}
-
-// CountingSortByKeyArena is CountingSortByKeyIn drawing every buffer —
-// including the returned perm and offsets, whose ownership passes to the
-// caller — from a (nil = plain allocation). Callers on the hot path
-// return perm and offsets to the arena when done.
+// CountingSortByKeyArena is CountingSortByKey running on the execution
+// context e (nil = default) and drawing every buffer — including the
+// returned perm and offsets, whose ownership passes to the caller — from
+// a (nil = plain allocation). Callers on the hot path return perm and
+// offsets to the arena when done.
 func CountingSortByKeyArena(e *parallel.Exec, n int, nBuckets int32, key func(i int) int32, a Arena) (perm []int32, offsets []int32) {
 	offsets = arenaGet(a, int(nBuckets)+1, true)
 	counts := offsets[:nBuckets]
