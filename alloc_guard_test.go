@@ -58,7 +58,7 @@ func TestAllocGuardStoreHop(t *testing.T) {
 	g := guardGraph(t)
 	st := fastbcc.NewStore(0)
 	defer st.Close()
-	// Metrics are on by default, so this guard proves the *instrumented*
+	// Metrics are always on, so this guard proves the *instrumented*
 	// refcount hop stays allocation-free.
 	if st.Metrics() == nil {
 		t.Fatal("guard store is not instrumented")
@@ -207,8 +207,8 @@ func TestAllocGuardQueryBatch(t *testing.T) {
 	g := guardGraph(t)
 	st := fastbcc.NewStore(0)
 	defer st.Close()
-	// Metrics are on by default: the batch guard covers the recordBatch
-	// flush (clock reads, histogram observe, per-op counter adds) too.
+	// Metrics are always on: the batch guard covers the recordBatch
+	// counter-bank flush too.
 	if st.Metrics() == nil {
 		t.Fatal("guard store is not instrumented")
 	}

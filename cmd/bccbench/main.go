@@ -12,12 +12,6 @@
 //	bccbench -exp all             # everything
 //	bccbench -exp tab2 -scale medium -reps 3
 //	bccbench -exp tab2 -graphs SQR,REC,Chn7
-//	bccbench -micro BENCH_N.json       # hot-path micro-benchmarks -> JSON report
-//	bccbench -micro BENCH_N.json -algo fast,seq   # engine matrix subset
-//	bccbench -qbench -scale small      # serving-path query throughput: store +
-//	                                   # HTTP, scalar + batch (JSON and binary),
-//	                                   # under concurrent rebuild churn
-//	bccbench -qbench -qbatch 512 -micro BENCH_N.json  # record qbench in the report
 //	bccbench -exp tab2 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -38,10 +32,6 @@ func main() {
 	reps := flag.Int("reps", 1, "repetitions per measurement (median reported)")
 	graphs := flag.String("graphs", "", "comma-separated subset of instance names (default: all 27)")
 	quiet := flag.Bool("q", false, "suppress progress output")
-	micro := flag.String("micro", "", "run the hot-path micro-benchmarks and write a BENCH_*.json report to this path")
-	algo := flag.String("algo", "", "comma-separated engine subset for the -micro engine matrix (default: every registered engine)")
-	qbench := flag.Bool("qbench", false, "measure online query throughput through the serving stack (store + HTTP, scalar + batch); combine with -micro to record it in the JSON report")
-	qbatch := flag.Int("qbatch", 256, "queries per batch request in -qbench")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof)")
 	flag.Parse()
@@ -75,34 +65,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "bccbench: %v\n", err)
 			}
 		}()
-	}
-
-	if *qbench && *micro == "" {
-		bench.RunQueryThroughput(bench.ParseScale(*scale), *qbatch, os.Stdout)
-		return
-	}
-
-	if *micro != "" {
-		var engines []string
-		if *algo != "" {
-			for _, name := range strings.Split(*algo, ",") {
-				engines = append(engines, strings.TrimSpace(name))
-			}
-		}
-		rep, err := bench.RunMicro(engines)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bccbench: %v\n", err)
-			os.Exit(2)
-		}
-		if *qbench {
-			rep.QBench = bench.RunQueryThroughput(bench.ParseScale(*scale), *qbatch, os.Stderr)
-		}
-		if err := rep.WriteJSON(*micro); err != nil {
-			fmt.Fprintf(os.Stderr, "bccbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# wrote %s\n", *micro)
-		return
 	}
 
 	sc := bench.ParseScale(*scale)

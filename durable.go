@@ -473,25 +473,18 @@ func (s *Store) journalAppend(en *storeEntry, name string, adds, dels []Edge) ui
 		// Load opens the journal; reaching here without one means that
 		// open failed. Note it (once per batch) and keep serving.
 		s.notePersistError(en, fmt.Errorf("fastbcc: graph %q has no journal (open failed earlier)", name))
-		s.walFails.Add(1)
 		return seq
 	}
 	en.jAdds = appendJEdges(en.jAdds[:0], adds)
 	en.jDels = appendJEdges(en.jDels[:0], dels)
 	nb, err := en.journal.Append(seq, en.jAdds, en.jDels, !s.journalNoSync)
 	if err != nil {
-		s.walFails.Add(1)
 		s.notePersistError(en, err)
-		if m := s.metrics.Load(); m != nil {
-			m.walAppendErr.Inc()
-		}
+		s.metrics.walAppendErr.Inc()
 		return seq
 	}
-	s.walAppends.Add(1)
-	if m := s.metrics.Load(); m != nil {
-		m.walAppendOK.Inc()
-		m.walBytes.Add(int64(nb))
-	}
+	s.metrics.walAppendOK.Inc()
+	s.metrics.walBytes.Add(int64(nb))
 	return seq
 }
 
@@ -615,9 +608,7 @@ func (s *Store) persistEntry(en *storeEntry, name string) error {
 	err := s.persistCurrent(en, name)
 	if err != nil {
 		s.notePersistError(en, err)
-		if m := s.metrics.Load(); m != nil {
-			m.persistSnapErr.Inc()
-		}
+		s.metrics.persistSnapErr.Inc()
 	}
 	return err
 }
@@ -647,11 +638,8 @@ func (s *Store) persistCurrent(en *storeEntry, name string) error {
 	if err != nil {
 		return err
 	}
-	s.persistOK.Add(1)
-	if m := s.metrics.Load(); m != nil {
-		m.persistSnapOK.Inc()
-		m.persistSnapBytes.Add(nb)
-	}
+	s.metrics.persistSnapOK.Inc()
+	s.metrics.persistSnapBytes.Add(nb)
 	en.pmu.Lock()
 	en.persistErr = ""
 	en.persistErrAt = time.Time{}
@@ -665,10 +653,7 @@ func (s *Store) persistCurrent(en *storeEntry, name string) error {
 		if terr := j.TruncateThrough(cur.mutSeq); terr != nil {
 			s.notePersistError(en, terr)
 		} else {
-			s.walTruncs.Add(1)
-			if m := s.metrics.Load(); m != nil {
-				m.walTruncs.Inc()
-			}
+			s.metrics.walTruncs.Inc()
 		}
 	}
 	return nil
@@ -824,11 +809,8 @@ func (s *Store) recoverDir(ctx context.Context, dir string) (*RecoveredGraph, er
 	s.live.Add(1)
 	en.cur.Store(snap)
 	ok = true
-	s.recoveredGraphs.Add(1)
-	if mm := s.metrics.Load(); mm != nil {
-		mm.recovered.Inc()
-		mm.ensureGraphGauges(s, meta.Name)
-	}
+	s.metrics.recovered.Inc()
+	s.metrics.ensureGraphGauges(s, meta.Name)
 
 	// Journal: open (truncating any torn tail), then queue the records
 	// the snapshot does not reflect through the ordinary delta machinery.
@@ -872,12 +854,7 @@ func (s *Store) recoverDir(ctx context.Context, dir string) (*RecoveredGraph, er
 	if jerr != nil {
 		s.notePersistError(en, jerr)
 	}
-	if replayed > 0 {
-		s.replayedMutations.Add(int64(replayed))
-		if mm := s.metrics.Load(); mm != nil {
-			mm.replayed.Add(int64(replayed))
-		}
-	}
+	s.metrics.replayed.Add(int64(replayed))
 
 	// Lazy integrity: unless VerifyOnLoad already checked every section,
 	// verify in the background while the snapshot serves. A checksum

@@ -404,11 +404,11 @@ func TestDurableUnsafeNamesRoundTrip(t *testing.T) {
 }
 
 // TestDurableMetricsExposed: the fastbcc_persist_* series record real
-// durability activity.
+// durability activity, and StoreStats reports exactly what they expose —
+// on the serving store and on the store that recovers its directory.
 func TestDurableMetricsExposed(t *testing.T) {
 	dir := t.TempDir()
 	s := durableStore(dir)
-	defer s.Close()
 	snap, err := s.Load(context.Background(), "g", storeTestGraph(t), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -420,15 +420,42 @@ func TestDurableMetricsExposed(t *testing.T) {
 	if err := s.Persist("g"); err != nil {
 		t.Fatal(err)
 	}
+	// Journaled but never persisted: Recover must replay it.
+	if _, err := s.ApplyBatch(context.Background(), "g", nil, []fastbcc.Edge{{U: 2, W: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	// Close drains the background persister, so the counts are final.
+	s.Close()
 	stats := s.Stats()
-	if stats.WalAppends == 0 {
-		t.Fatalf("no WAL appends recorded: %+v", stats)
+	if stats.WalAppends != 2 {
+		t.Errorf("WalAppends = %d, want 2", stats.WalAppends)
 	}
 	if stats.PersistedSnapshots == 0 {
-		t.Fatalf("no persisted snapshots recorded: %+v", stats)
+		t.Errorf("no persisted snapshots recorded: %+v", stats)
 	}
-	if s.Metrics() == nil {
-		t.Fatal("store is not instrumented")
+	reg := s.Metrics()
+	if got := gatherValue(t, reg, "fastbcc_persist_wal_appends_total", `outcome="ok"`); got != float64(stats.WalAppends) {
+		t.Errorf(`wal_appends_total{outcome="ok"} = %v, Stats.WalAppends = %d`, got, stats.WalAppends)
+	}
+	if got := gatherValue(t, reg, "fastbcc_persist_snapshots_total", `outcome="ok"`); got != float64(stats.PersistedSnapshots) {
+		t.Errorf(`snapshots_total{outcome="ok"} = %v, Stats.PersistedSnapshots = %d`, got, stats.PersistedSnapshots)
+	}
+
+	s2 := durableStore(dir)
+	defer s2.Close()
+	if _, err := s2.Recover(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	stats = s2.Stats()
+	if stats.RecoveredGraphs != 1 || stats.ReplayedMutations != 1 {
+		t.Errorf("Stats recovered/replayed = %d/%d, want 1/1", stats.RecoveredGraphs, stats.ReplayedMutations)
+	}
+	reg = s2.Metrics()
+	if got := gatherValue(t, reg, "fastbcc_persist_recovered_graphs_total", ""); got != float64(stats.RecoveredGraphs) {
+		t.Errorf("recovered_graphs_total = %v, Stats.RecoveredGraphs = %d", got, stats.RecoveredGraphs)
+	}
+	if got := gatherValue(t, reg, "fastbcc_persist_replayed_mutations_total", ""); got != float64(stats.ReplayedMutations) {
+		t.Errorf("replayed_mutations_total = %v, Stats.ReplayedMutations = %d", got, stats.ReplayedMutations)
 	}
 }
 

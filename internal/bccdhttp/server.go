@@ -2,8 +2,8 @@
 // graph lifecycle (load/rebuild/remove), scalar queries, batched queries
 // with JSON/binary content negotiation, health and stats, and the
 // optional fault-injection debug endpoints. It lives outside cmd/bccd so
-// tests and benchmarks (internal/bench's qbench) can drive the exact
-// production handler in-process.
+// tests and the bccperf benchmark can drive the exact production handler
+// in-process.
 package bccdhttp
 
 import (

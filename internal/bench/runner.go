@@ -136,22 +136,6 @@ func RunRow(ins Instance, g *graph.Graph, reps int) Row {
 	return row
 }
 
-// RunSuite measures every instance of the suite at the given scale.
-func RunSuite(sc Scale, reps int, progress io.Writer) []Row {
-	var rows []Row
-	for _, ins := range Suite() {
-		if progress != nil {
-			fmt.Fprintf(progress, "# building %s ...\n", ins.Name)
-		}
-		g := ins.Build(sc)
-		if progress != nil {
-			fmt.Fprintf(progress, "# running %s (n=%d m=%d)\n", ins.Name, g.NumVertices(), g.NumEdges())
-		}
-		rows = append(rows, RunRow(ins, g, reps))
-	}
-	return rows
-}
-
 func secs(d time.Duration) string {
 	if d == 0 {
 		return "n"

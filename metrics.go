@@ -206,7 +206,7 @@ func newStoreMetrics(s *Store) *storeMetrics {
 
 	reg.CounterFunc("fastbcc_batches_total",
 		"QueryBatch calls served.",
-		func() int64 { return s.batches.Load() + m.batchQueries.Value(batchSlot) })
+		func() int64 { return m.batchQueries.Value(batchSlot) })
 	for op := OpConnected; op < opEnd; op++ {
 		slot := int(op)
 		reg.CounterFunc("fastbcc_batch_queries_total",
@@ -404,8 +404,7 @@ func (m *storeMetrics) recordBuild(err error, dur time.Duration, phases PhaseTim
 const (
 	// pinSlot counts Store.QueryBatch's epoch pins (see Handle.acquire).
 	pinSlot = 0
-	// batchSlot counts QueryBatch calls; with metrics on it replaces the
-	// store's plain batches stat counter on the batch path.
+	// batchSlot counts QueryBatch calls.
 	batchSlot = 7
 )
 
@@ -422,51 +421,24 @@ type opCounts [obs.BankSlots]int64
 // counting pass over a 256-query batch costs more than the flush
 // itself), so the entire batch record — call count, epoch pin, per-op
 // volume — is one shard pick and up to eight adds on a single
-// cacheline, and it replaces the two plain stat atomics the
-// metrics-off path pays (see Snapshot.queryBatch). The store core
-// deliberately carries no batch latency histogram: latency is recorded
-// at the serving edge (bccd_http_request_duration_seconds), where a
-// request costs tens of microseconds and two clock reads vanish; on
-// the ~2.5µs store batch path those same two clock reads plus a
-// histogram observation measured 5-7% of the whole batch — the
-// difference between this instrumentation being free and it failing
-// its overhead budget.
+// cacheline. The store core deliberately carries no batch latency
+// histogram: latency is recorded at the serving edge
+// (bccd_http_request_duration_seconds), where a request costs tens of
+// microseconds and two clock reads vanish; on the ~2.5µs store batch
+// path those same two clock reads plus a histogram observation
+// measured 5-7% of the whole batch — the difference between this
+// instrumentation being free and it failing its overhead budget.
 func (m *storeMetrics) recordBatch(cnt *opCounts) {
 	m.batchQueries.Flush((*[obs.BankSlots]int64)(cnt))
 }
 
-// Metrics returns the Store's metric registry for exposition (nil when
-// the Store was built with DisableMetrics). The registry covers the
-// serving hot paths (acquire disciplines, batch latency and per-op
-// volume), the build pipeline (outcomes, sheds, duration, the paper's
-// four phases), and the reclamation domain (live/retired/reclaimed
+// Metrics returns the Store's metric registry for exposition; it is
+// never nil. The registry covers the serving hot paths (acquire
+// disciplines, batch calls and per-op volume), the build pipeline
+// (outcomes, sheds, duration, the paper's four phases), mutations,
+// durability, and the reclamation domain (live/retired/reclaimed
 // snapshots). Render it with internal/obs/promtext.
-func (s *Store) Metrics() *obs.Registry {
-	if s.metricsAll == nil {
-		return nil
-	}
-	return s.metricsAll.reg
-}
-
-// SetMetricsEnabled resumes (true) or pauses (false) metric recording on
-// a live Store — a run-time kill switch for the instrumentation's
-// hot-path cost, and the mechanism cmd/bccbench -qbench uses to A/B that
-// cost on one store instance (two separately built stores differ in
-// memory layout by more than the ~100ns-per-batch delta being measured).
-// While paused the registry keeps serving scrapes: the serving- and
-// build-path recorders freeze at their last values, while func-backed
-// series (catalog gauges, live and retired snapshots) and the Runner's
-// engine-run counters stay live. On a DisableMetrics store there is
-// nothing to resume and the call is a no-op. The flip is atomic; an
-// operation in flight across it records wholly by the surface it saw at
-// its start.
-func (s *Store) SetMetricsEnabled(on bool) {
-	if on && s.metricsAll != nil {
-		s.metrics.Store(s.metricsAll)
-	} else {
-		s.metrics.Store(nil)
-	}
-}
+func (s *Store) Metrics() *obs.Registry { return s.metrics.reg }
 
 // Trace returns the most recent build attempts of name, newest first —
 // successes with their per-phase breakdown, failures with their error.

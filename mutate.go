@@ -173,9 +173,7 @@ func (s *Store) ApplyBatch(ctx context.Context, name string, adds, dels []Edge) 
 		return r, nil
 	}
 
-	if m := s.metrics.Load(); m != nil {
-		m.ensureGraphGauges(s, name)
-	}
+	s.metrics.ensureGraphGauges(s, name)
 
 	// With deltas already pending (or a flush in flight) everything
 	// queues — no build lock needed, the mutation returns in O(batch).
@@ -248,9 +246,7 @@ func (s *Store) queueDeltasLocked(en *storeEntry, name string, q []edgeDelta) {
 		en.deltaSince = time.Now()
 	}
 	en.deltaQ = append(en.deltaQ, q...)
-	if m := s.metrics.Load(); m != nil {
-		m.mutRebuild.Add(int64(len(q)))
-	}
+	s.metrics.mutRebuild.Add(int64(len(q)))
 	if !en.flushing {
 		en.flushing = true
 		go s.flushLoop(en, name)
@@ -344,13 +340,11 @@ func (s *Store) applyClassified(en *storeEntry, name string, adds, dels []Edge) 
 		}
 		cur = snap
 	}
-	if m := s.metrics.Load(); m != nil {
-		if fast > 0 {
-			m.mutFast.Add(int64(fast))
-		}
-		if collapsed > 0 {
-			m.mutCollapse.Add(int64(collapsed))
-		}
+	if fast > 0 {
+		s.metrics.mutFast.Add(int64(fast))
+	}
+	if collapsed > 0 {
+		s.metrics.mutCollapse.Add(int64(collapsed))
 	}
 
 	res := MutationResult{Version: cur.Version, Fast: fast, Collapsed: collapsed, Queued: len(queued)}
@@ -497,9 +491,7 @@ func (s *Store) flushOnce(en *storeEntry, name string, q []edgeDelta, gen uint64
 		en.traces.add(trace)
 		en.recordFailure(err)
 		s.buildFails.Add(1)
-		if m := s.metrics.Load(); m != nil {
-			m.recordBuild(err, dur, PhaseTimes{})
-		}
+		s.metrics.recordBuild(err, dur, PhaseTimes{})
 		return err
 	}
 	en.clearFailure()
@@ -527,11 +519,9 @@ func (s *Store) flushOnce(en *storeEntry, name string, q []edgeDelta, gen uint64
 	trace.Version = snap.Version
 	trace.Phases = res.Times
 	en.traces.add(trace)
-	if m := s.metrics.Load(); m != nil {
-		m.recordBuild(nil, dur, res.Times)
-		// One unit per second: _sum renders as the exact delta count.
-		m.mutFlushSize.Observe(time.Duration(len(q)) * time.Second)
-	}
+	s.metrics.recordBuild(nil, dur, res.Times)
+	// One unit per second: _sum renders as the exact delta count.
+	s.metrics.mutFlushSize.Observe(time.Duration(len(q)) * time.Second)
 	en.flushes.Add(1)
 	s.live.Add(1)
 	if old := en.cur.Swap(snap); old != nil {

@@ -162,9 +162,7 @@ func (h *Handle) entry(name string) (*storeEntry, error) {
 func (h *Handle) Acquire(name string) (*Snapshot, error) {
 	snap, err := h.acquire(name)
 	if err == nil {
-		if m := h.store.metrics.Load(); m != nil {
-			m.acquiresEpoch.Inc()
-		}
+		h.store.metrics.acquiresEpoch.Inc()
 	}
 	return snap, err
 }
@@ -238,25 +236,21 @@ func (sn *Snapshot) queryBatch(ctx context.Context, qs []Query, dst []Answer, ep
 	idx := sn.Index
 	n := int32(sn.Graph.NumVertices())
 
-	var m *storeMetrics
-	if sn.store != nil {
-		m = sn.store.metrics.Load()
-	}
 	var counts opCounts
-	if m != nil && epochPin {
+	if epochPin {
 		counts[pinSlot] = 1
 	}
 
-	if len(qs) >= parallelBatchMin {
+	// A Snapshot built outside a Store has no Runner to fan out over;
+	// it answers every batch on the calling goroutine.
+	if len(qs) >= parallelBatchMin && sn.store != nil {
 		if err := sn.queryParallel(ctx, idx, n, qs, answers); err != nil {
 			return nil, err
 		}
-		if m != nil {
-			// Large batches count in a separate pass: its cost amortizes
-			// over >=32K queries, and the workers stay untouched.
-			for i := range qs {
-				counts[qs[i].Op&7]++
-			}
+		// Large batches count in a separate pass: its cost amortizes
+		// over >=32K queries, and the workers stay untouched.
+		for i := range qs {
+			counts[qs[i].Op&7]++
 		}
 	} else {
 		for i := range qs {
@@ -270,25 +264,19 @@ func (sn *Snapshot) queryBatch(ctx context.Context, qs []Query, dst []Answer, ep
 				return nil, queryErr(i, &qs[i], n)
 			}
 			answers[i] = a
-			// Per-op tally, unconditional: one stack add overlapped with
-			// the query work (a predictable metrics-enabled? branch here
-			// would cost as much as the add), masked so the validated op
-			// indexes without a bounds check.
+			// Per-op tally: one stack add overlapped with the query
+			// work, masked so the validated op indexes without a bounds
+			// check.
 			counts[qs[i].Op&7]++
 		}
 	}
-	// Stats accounting: with metrics on, the batch call rides the same
-	// bank flush as the per-op tallies and the epoch pin — one flush
-	// instead of two plain atomic adds, so the instrumented path costs
-	// roughly what the bare one does. With metrics off (or paused), the
-	// plain counters take over; Stats and fastbcc_batches_total sum
-	// both sources, so totals stay exact across SetMetricsEnabled flips.
-	if m != nil {
+	// Stats accounting: the batch call rides the same bank flush as the
+	// per-op tallies and the epoch pin, so Stats and
+	// fastbcc_batches_total read one count. A store-less Snapshot has
+	// nothing to record into.
+	if sn.store != nil {
 		counts[batchSlot] = 1
-		m.recordBatch(&counts)
-	} else if sn.store != nil {
-		sn.store.batches.Add(1)
-		sn.store.batchQueries.Add(int64(len(qs)))
+		sn.store.metrics.recordBatch(&counts)
 	}
 	return answers, nil
 }

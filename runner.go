@@ -44,7 +44,7 @@ type Runner struct {
 	// mutex and a burst of k runs settles at k pooled arenas.
 	arenas sync.Pool
 	// metrics counts runs/errors/panics when the Runner is owned by a
-	// metrics-enabled Store; nil (and unrecorded) otherwise.
+	// Store; nil (and unrecorded) on a standalone Runner.
 	metrics *runnerMetrics
 }
 

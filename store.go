@@ -172,9 +172,6 @@ type Store struct {
 	// it so the query fast path skips the catalog RWMutex entirely.
 	catalogGen atomic.Uint64
 
-	batches      atomic.Int64 // QueryBatch calls served
-	batchQueries atomic.Int64 // scalar queries served through batches
-
 	// Admission gate (nil sem = unbounded): build slots are acquired
 	// before any per-entry serialization so saturation is detected — and
 	// shed — up front instead of deep in a lock queue.
@@ -195,21 +192,12 @@ type Store struct {
 	verifyOnLoad  bool
 	journalNoSync bool
 
-	persistOK         atomic.Int64 // snapshot files durably published
-	persistFails      atomic.Int64 // failed snapshot writes / journal appends
-	walAppends        atomic.Int64 // journal records appended
-	walFails          atomic.Int64 // journal appends that failed (ack proceeded, degraded)
-	walTruncs         atomic.Int64 // journal truncations after a durable snapshot
-	recoveredGraphs   atomic.Int64 // graphs restored by Recover
-	replayedMutations atomic.Int64 // journal records queued for replay by Recover
+	persistFails atomic.Int64 // failed snapshot writes / journal appends
 
-	// metrics is the observability surface the hot paths record into;
-	// every record site guards on the load being non-nil. It is nil with
-	// DisableMetrics, and SetMetricsEnabled flips it between nil and
-	// metricsAll — the built surface, which survives pauses so the
-	// registry keeps serving scrapes. See Store.Metrics.
-	metrics    atomic.Pointer[storeMetrics]
-	metricsAll *storeMetrics
+	// metrics is the observability surface the hot paths record into.
+	// Stats reads its batch and durability counters, so each of those
+	// events is counted once. See Store.Metrics.
+	metrics *storeMetrics
 
 	mu     sync.RWMutex
 	byName map[string]*storeEntry
@@ -383,13 +371,6 @@ type StoreConfig struct {
 	// mutations may be lost on a machine crash (not a process crash).
 	// For benchmarks and tests; leave false in production.
 	JournalNoSync bool
-	// DisableMetrics skips creating the Store's metric registry
-	// (Store.Metrics returns nil). The default — metrics on — costs one
-	// sharded atomic add per serving hop and a constant handful of
-	// operations per batch and per build; Store.SetMetricsEnabled pauses
-	// exactly that cost at run time (and is how cmd/bccbench -qbench
-	// measures it).
-	DisableMetrics bool
 }
 
 // NewStore returns a Store whose rebuilds share a Runner with workers-1
@@ -416,11 +397,8 @@ func NewStoreWithConfig(cfg StoreConfig) *Store {
 	if cfg.MaxConcurrentBuilds > 0 {
 		s.buildSem = make(chan struct{}, cfg.MaxConcurrentBuilds)
 	}
-	if !cfg.DisableMetrics {
-		s.metricsAll = newStoreMetrics(s)
-		s.runner.metrics = &s.metricsAll.runner
-		s.metrics.Store(s.metricsAll)
-	}
+	s.metrics = newStoreMetrics(s)
+	s.runner.metrics = &s.metrics.runner
 	return s
 }
 
@@ -532,8 +510,8 @@ func (s *Store) build(ctx context.Context, en *storeEntry, name string, g *Graph
 	// Admission first: saturation is detected ahead of any per-entry
 	// lock queue, so a shed build never holds anything.
 	if err := s.admit(ctx); err != nil {
-		if m := s.metrics.Load(); m != nil && errors.Is(err, ErrSaturated) {
-			m.buildSheds.Inc()
+		if errors.Is(err, ErrSaturated) {
+			s.metrics.buildSheds.Inc()
 		}
 		return nil, err
 	}
@@ -616,9 +594,7 @@ func (s *Store) build(ctx context.Context, en *storeEntry, name string, g *Graph
 		en.traces.add(trace)
 		en.recordFailure(err)
 		s.buildFails.Add(1)
-		if m := s.metrics.Load(); m != nil {
-			m.recordBuild(err, dur, PhaseTimes{})
-		}
+		s.metrics.recordBuild(err, dur, PhaseTimes{})
 		return nil, err
 	}
 	en.clearFailure()
@@ -636,9 +612,7 @@ func (s *Store) build(ctx context.Context, en *storeEntry, name string, g *Graph
 	snap.refs.Store(2) // the store's reference + the returned handle
 	trace.Version = snap.Version
 	en.traces.add(trace)
-	if m := s.metrics.Load(); m != nil {
-		m.recordBuild(nil, dur, res.Times)
-	}
+	s.metrics.recordBuild(nil, dur, res.Times)
 	s.live.Add(1)
 	if isLoad {
 		// The graph was replaced wholesale: pending deltas describe edges
@@ -692,9 +666,7 @@ func (s *Store) Acquire(name string) (*Snapshot, error) {
 			return nil, notLoadedErr(name)
 		}
 		if snap.tryRetain() {
-			if m := s.metrics.Load(); m != nil {
-				m.acquiresCAS.Inc()
-			}
+			s.metrics.acquiresCAS.Inc()
 			return snap, nil
 		}
 		// The snapshot died between the load and the retain (swapped out
@@ -905,23 +877,18 @@ func (s *Store) Stats() StoreStats {
 		deltaFlushes += en.flushes.Load()
 	}
 	s.mu.RUnlock()
-	// Batch totals sum both accounting sources: the plain counters
-	// (metrics off or paused) and the metric bank (metrics on), which
-	// carries the batch call in batchSlot and the query volume in the
-	// per-op slots. See Snapshot.queryBatch.
-	batches := s.batches.Load()
-	batchQueries := s.batchQueries.Load()
-	if m := s.metricsAll; m != nil {
-		batches += m.batchQueries.Value(batchSlot)
-		for op := OpConnected; op < opEnd; op++ {
-			batchQueries += m.batchQueries.Value(int(op))
-		}
+	// The batch bank carries the call count in batchSlot and the query
+	// volume in the per-op slots. See Snapshot.queryBatch.
+	m := s.metrics
+	var batchQueries int64
+	for op := OpConnected; op < opEnd; op++ {
+		batchQueries += m.batchQueries.Value(int(op))
 	}
 	return StoreStats{
 		Graphs:           n,
 		LiveSnapshots:    s.live.Load(),
 		RetiredSnapshots: s.epochs.Retired(),
-		Batches:          batches,
+		Batches:          m.batchQueries.Value(batchSlot),
 		BatchQueries:     batchQueries,
 		ByAlgorithm:      byAlgo,
 		FailingGraphs:    failing,
@@ -930,12 +897,12 @@ func (s *Store) Stats() StoreStats {
 		PendingDeltas:    pendingDeltas,
 		DeltaFlushes:     deltaFlushes,
 
-		PersistedSnapshots: s.persistOK.Load(),
+		PersistedSnapshots: m.persistSnapOK.Value(),
 		PersistFailures:    s.persistFails.Load(),
-		WalAppends:         s.walAppends.Load(),
+		WalAppends:         m.walAppendOK.Value(),
 		DegradedGraphs:     degraded,
-		RecoveredGraphs:    s.recoveredGraphs.Load(),
-		ReplayedMutations:  s.replayedMutations.Load(),
+		RecoveredGraphs:    m.recovered.Value(),
+		ReplayedMutations:  m.replayed.Value(),
 	}
 }
 

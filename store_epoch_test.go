@@ -215,7 +215,8 @@ func TestStoreQueryBatchNilHandle(t *testing.T) {
 
 // TestStoreQueryBatchParallelPath exercises the large-batch fan-out over
 // the Runner workers (and its error propagation) with a batch over the
-// parallel threshold.
+// parallel threshold, and the same batch on a Snapshot built outside a
+// Store, which has no workers to fan out over.
 func TestStoreQueryBatchParallelPath(t *testing.T) {
 	st := fastbcc.NewStore(0)
 	defer st.Close()
@@ -224,7 +225,7 @@ func TestStoreQueryBatchParallelPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Release()
+	defer snap.Release()
 	n := int32(g.NumVertices())
 
 	const big = 1 << 16 // over parallelBatchMin
@@ -252,6 +253,16 @@ func TestStoreQueryBatchParallelPath(t *testing.T) {
 		want = single[0]
 		if out[i] != want {
 			t.Fatalf("parallel batch answer %d: got %d, want %d", i, out[i], want)
+		}
+	}
+	bare := &fastbcc.Snapshot{Graph: snap.Graph, Result: snap.Result, Index: snap.Index}
+	bareOut, err := bare.QueryBatch(context.Background(), qs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		if bareOut[i] != out[i] {
+			t.Fatalf("store-less batch answer %d: got %d, store answered %d", i, bareOut[i], out[i])
 		}
 	}
 

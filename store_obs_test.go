@@ -7,11 +7,11 @@ import (
 
 	fastbcc "repro"
 	"repro/internal/faultpoint"
+	"repro/internal/obs"
 )
 
 // Store-level observability: the per-graph build-trace ring, the build
-// classification it records, and the DisableMetrics escape hatch used by
-// the qbench A/B overhead measurement.
+// classification it records, and the metric registry Stats reads.
 
 func TestStoreTraceRing(t *testing.T) {
 	s := fastbcc.NewStore(2)
@@ -131,112 +131,6 @@ func TestStoreTraceRecordsCancellation(t *testing.T) {
 	}
 }
 
-func TestStoreDisableMetrics(t *testing.T) {
-	s := fastbcc.NewStoreWithConfig(fastbcc.StoreConfig{DisableMetrics: true})
-	defer s.Close()
-	if s.Metrics() != nil {
-		t.Fatal("DisableMetrics store still has a registry")
-	}
-
-	// The serving paths are unaffected: load, both acquire disciplines,
-	// a batch, and the trace ring (which is independent of metrics).
-	g := storeTestGraph(t)
-	snap, err := s.Load(context.Background(), "demo", g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Release()
-	snap, err = s.Acquire("demo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Release()
-	h := s.NewHandle()
-	defer h.Close()
-	qs := []fastbcc.Query{{Op: fastbcc.OpConnected, U: 0, V: 6}}
-	as, _, err := s.QueryBatch(context.Background(), h, "demo", qs, nil)
-	if err != nil || len(as) != 1 || as[0] != 1 {
-		t.Fatalf("batch on metrics-free store: %v %v", as, err)
-	}
-	traces, err := s.Trace("demo")
-	if err != nil || len(traces) != 1 {
-		t.Fatalf("trace on metrics-free store: %v %v", traces, err)
-	}
-}
-
-// TestStoreSetMetricsEnabled exercises the runtime recording kill
-// switch: pausing freezes the serving-path recorders (per-op batch
-// volume, acquire-discipline counters) while Stats and the func-backed
-// fastbcc_batches_total stay exact by summing the plain stat counters
-// the paused path falls back to; re-enabling resumes recording without
-// losing anything.
-func TestStoreSetMetricsEnabled(t *testing.T) {
-	s := fastbcc.NewStore(2)
-	defer s.Close()
-	g := storeTestGraph(t)
-	snap, err := s.Load(context.Background(), "demo", g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Release()
-	h := s.NewHandle()
-	defer h.Close()
-	qs := []fastbcc.Query{{Op: fastbcc.OpConnected, U: 0, V: 6}}
-	batch := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, _, err := s.QueryBatch(context.Background(), h, "demo", qs, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	read := func(family, labels string) float64 {
-		t.Helper()
-		for _, fam := range s.Metrics().Gather() {
-			if fam.Name != family {
-				continue
-			}
-			for _, se := range fam.Series {
-				if se.Labels == labels {
-					return se.Value
-				}
-			}
-		}
-		t.Fatalf("series %s{%s} not found", family, labels)
-		return 0
-	}
-
-	batch(2)
-	s.SetMetricsEnabled(false)
-	batch(3) // paused: plain stat counters take over
-	s.SetMetricsEnabled(true)
-	batch(1)
-
-	// Exactness across the flips: totals count every batch...
-	if got := read("fastbcc_batches_total", ""); got != 6 {
-		t.Errorf("fastbcc_batches_total = %v, want 6", got)
-	}
-	st := s.Stats()
-	if st.Batches != 6 || st.BatchQueries != 6 {
-		t.Errorf("Stats batches/queries = %d/%d, want 6/6", st.Batches, st.BatchQueries)
-	}
-	// ...while the paused recorders saw only the 3 recorded batches.
-	if got := read("fastbcc_batch_queries_total", `op="connected"`); got != 3 {
-		t.Errorf(`batch_queries{op="connected"} = %v, want 3`, got)
-	}
-	if got := read("fastbcc_acquires_total", `discipline="epoch"`); got != 3 {
-		t.Errorf(`acquires{discipline="epoch"} = %v, want 3`, got)
-	}
-
-	// The switch is a no-op on a DisableMetrics store.
-	off := fastbcc.NewStoreWithConfig(fastbcc.StoreConfig{DisableMetrics: true})
-	defer off.Close()
-	off.SetMetricsEnabled(true)
-	if off.Metrics() != nil {
-		t.Fatal("SetMetricsEnabled(true) resurrected a DisableMetrics store")
-	}
-}
-
 func TestStoreMetricsRegistryGathers(t *testing.T) {
 	s := fastbcc.NewStore(2)
 	defer s.Close()
@@ -249,7 +143,7 @@ func TestStoreMetricsRegistryGathers(t *testing.T) {
 
 	reg := s.Metrics()
 	if reg == nil {
-		t.Fatal("default store has no metrics registry")
+		t.Fatal("store has no metrics registry")
 	}
 	found := map[string]bool{}
 	for _, fam := range reg.Gather() {
@@ -265,4 +159,38 @@ func TestStoreMetricsRegistryGathers(t *testing.T) {
 			t.Errorf("registry missing family %s", name)
 		}
 	}
+
+	// Stats and the exposition read one batch count.
+	h := s.NewHandle()
+	defer h.Close()
+	qs := []fastbcc.Query{{Op: fastbcc.OpConnected, U: 0, V: 6}, {Op: fastbcc.OpBiconnected, U: 0, V: 1}}
+	for i := 0; i < 3; i++ {
+		if _, _, err := s.QueryBatch(context.Background(), h, "demo", qs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if st.Batches != 3 || st.BatchQueries != 6 {
+		t.Errorf("Stats batches/queries = %d/%d, want 3/6", st.Batches, st.BatchQueries)
+	}
+	if got := gatherValue(t, reg, "fastbcc_batches_total", ""); got != 3 {
+		t.Errorf("fastbcc_batches_total = %v, want 3", got)
+	}
+}
+
+// gatherValue returns the value of the series family{labels} in reg.
+func gatherValue(t *testing.T, reg *obs.Registry, family, labels string) float64 {
+	t.Helper()
+	for _, fam := range reg.Gather() {
+		if fam.Name != family {
+			continue
+		}
+		for _, se := range fam.Series {
+			if se.Labels == labels {
+				return se.Value
+			}
+		}
+	}
+	t.Fatalf("series %s{%s} not found", family, labels)
+	return 0
 }
