@@ -279,3 +279,27 @@ func TestAllocGuardMaterialize(t *testing.T) {
 			allocs, bytes/csr, csr)
 	}
 }
+
+func TestAllocGuardFromEdges(t *testing.T) {
+	g := guardGraph(t)
+	edges := g.Edges()
+	var out *fastbcc.Graph
+	allocs, bytes := allocsAndBytesPerRun(5, func() {
+		var err error
+		if out, err = fastbcc.NewGraphFromEdges(g.NumVertices(), edges); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The build allocates the output CSR, one scratch copy of the arcs
+	// (the scatter the transpose reads) and one n-sized cursor row per
+	// worker, at most 1+m/n = 9 rows here: 2.01x the output's bytes at
+	// GOMAXPROCS=1 and 2.42x at 8. One more m-sized copy adds ~0.94x and
+	// cannot pass. The alloc bound is the worst count measured over
+	// GOMAXPROCS 1-8 (32.6, at 2) plus 10%.
+	csr := 4 * float64(len(out.Offsets)+len(out.Adj))
+	t.Logf("CSR build: %.1f allocs, %.2fx the output CSR", allocs, bytes/csr)
+	if allocs > 36 || bytes > 2.5*csr {
+		t.Fatalf("CSR build: %.1f allocs, %.2fx the output CSR's %.0f bytes; want <= 36 and <= 2.5x",
+			allocs, bytes/csr, csr)
+	}
+}

@@ -100,13 +100,17 @@ func connLDD(g *graph.Graph, opt Options) *Result {
 	u := uf.Wrap(ufbuf)
 	// Forest edges are collected into one arena buffer through an atomic
 	// write cursor (a spanning forest has at most n-1 edges); with one
-	// worker the loops run inline, so the sequential edge order is the
-	// historical one (cluster trees first, then cross edges).
+	// worker the loops run inline, so the sequential edge order is cluster
+	// trees first (by decreasing child), then cross edges.
 	forest, cur := forestBuf(sc, n, opt.WantForest)
 	// Cluster parent edges connect each cluster; they are tree edges by
 	// construction (each union merges two distinct sets regardless of
-	// order), so all of them join the forest.
-	e.For(n, func(v int) {
+	// order), so all of them join the forest. The walk runs from the top
+	// id down: uf.UF roots a set at its largest member, so a child joins
+	// under the root its parent's set already has instead of becoming a
+	// new root that every later union in the cluster climbs through.
+	e.For(n, func(i int) {
+		v := n - 1 - i
 		if p := dec.Parent[v]; p != -1 {
 			u.Union(int32(v), p)
 			if forest != nil {

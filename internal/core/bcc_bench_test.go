@@ -1,10 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // BenchmarkBCC measures one full FAST-BCC run per iteration, allocating all
@@ -27,5 +29,18 @@ func BenchmarkBCCScratch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BCC(g, Options{Seed: 7, Scratch: sc})
+	}
+}
+
+// BenchmarkTwoECCIn measures the 2ECC labels of a FAST-BCC result on
+// RMAT-16-8: the bridge tests and the union-find pass over the n parent
+// edges. Loops run on GOMAXPROCS workers, so -cpu sets the worker count.
+func BenchmarkTwoECCIn(b *testing.B) {
+	g := gen.RMAT(16, 8, 0xBC)
+	r := BCC(g, Options{Seed: 7})
+	e := parallel.NewExec(runtime.GOMAXPROCS(0))
+	defer e.Close()
+	for b.Loop() {
+		r.TwoECCIn(e, g)
 	}
 }

@@ -267,8 +267,11 @@ func lastCC(e *parallel.Exec, g *graph.Graph, tg *tags.Tags, numTrees int, sc *g
 	e.Iota(ufbuf, 0)
 	u := uf.Wrap(ufbuf)
 	// Skeleton tree arcs: the tree edge (p(v), v) is in G' iff it is not
-	// a fence edge (Alg. 1 line 11, evaluated parent-side).
-	e.For(n, func(v int) {
+	// a fence edge (Alg. 1 line 11, evaluated parent-side). Walked from
+	// the top id down, like every union pass over forest-parent edges
+	// (see uf.UF.Union).
+	e.For(n, func(i int) {
+		v := n - 1 - i
 		if p := parent[v]; p != -1 && !(first[p] <= low[v] && last[p] >= high[v]) {
 			u.Union(int32(v), p)
 		}

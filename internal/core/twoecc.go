@@ -32,7 +32,10 @@ func (r *Result) TwoECCIn(e *parallel.Exec, g *graph.Graph) []int32 {
 	parent := make([]int32, n)
 	e.Iota(parent, 0)
 	u := uf.Wrap(parent)
-	e.For(n, func(v int) {
+	// Walked from the top id down, like every union pass over
+	// forest-parent edges (see uf.UF.Union).
+	e.For(n, func(i int) {
+		v := n - 1 - i
 		if p := r.Parent[v]; p != -1 && !r.isTreeBridge(g, count, int32(v)) {
 			u.Union(int32(v), p)
 		}

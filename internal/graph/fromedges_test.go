@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -100,6 +102,79 @@ func TestFromEdgesMatchesAtomicReference(t *testing.T) {
 			equalGraphs(t, g2, want)
 		}
 	}
+	// Shapes the transpose's arc-balanced worker ranges meet: one list
+	// holding half of all arcs, a power-law degree spread, a list of
+	// self-loops only, and a single vertex. Each is fed in Edges() order,
+	// shuffled and reversed, on 1, 2 and 4 workers; the star takes the
+	// atomic scatter at 4 workers and the histogram scatter below.
+	star := make([]Edge, 5000)
+	for i := range star {
+		star[i] = Edge{2500, V(i)}
+		if i >= 2500 {
+			star[i].W++
+		}
+	}
+	loops := []Edge{{0, 0}, {0, 0}, {0, 0}}
+	for i := 0; i < 3000; i++ {
+		loops = append(loops, Edge{V(1 + rng.Intn(999)), V(1 + rng.Intn(999))})
+	}
+	for _, in := range []struct {
+		name  string
+		n     int
+		edges []Edge
+	}{
+		{"star5000", 5001, star},
+		{"rmat12-8", 1 << 12, rmatEdges(rng, 12, 8)},
+		{"selfloop-only-vertex", 1000, loops},
+		{"n1", 1, []Edge{{0, 0}, {0, 0}}},
+	} {
+		want := fromEdgesAtomicReference(in.n, in.edges)
+		sorted := want.Edges()
+		shuffled := append([]Edge(nil), sorted...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		reversed := append([]Edge(nil), sorted...)
+		slices.Reverse(reversed)
+		for _, order := range []struct {
+			name  string
+			edges []Edge
+		}{{"sorted", sorted}, {"shuffled", shuffled}, {"reversed", reversed}} {
+			for _, p := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/%s/p%d", in.name, order.name, p), func(t *testing.T) {
+					e := parallel.NewExec(p)
+					defer e.Close()
+					g, err := FromEdgesIn(e, in.n, order.edges, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalGraphs(t, g, want)
+				})
+			}
+		}
+	}
+}
+
+// rmatEdges draws the edge list of an RMAT graph with 2^scale vertices
+// and edgeFactor·2^scale edges (quadrant probabilities 0.57/0.19/0.19,
+// the generator's), self-loops and parallel edges included.
+func rmatEdges(rng *rand.Rand, scale, edgeFactor int) []Edge {
+	edges := make([]Edge, edgeFactor<<scale)
+	for i := range edges {
+		var u, w V
+		for bit := 0; bit < scale; bit++ {
+			switch r := rng.Float64(); {
+			case r < 0.57:
+			case r < 0.76:
+				w |= 1 << bit
+			case r < 0.95:
+				u |= 1 << bit
+			default:
+				u |= 1 << bit
+				w |= 1 << bit
+			}
+		}
+		edges[i] = Edge{u, w}
+	}
+	return edges
 }
 
 // TestFromEdgesAtomicFallback drives the sparse-graph/many-workers regime

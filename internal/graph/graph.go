@@ -28,8 +28,10 @@ type Edge struct {
 }
 
 // Graph is an undirected graph in CSR form. Adj[Offsets[v]:Offsets[v+1]]
-// lists the neighbors of v. For an undirected edge {u,w} both (u→w) and
-// (w→u) arcs are present, so len(Adj) == 2·NumEdges().
+// lists the neighbors of v in ascending order. For an undirected edge
+// {u,w} both (u→w) and (w→u) arcs are present, so len(Adj) ==
+// 2·NumEdges(). Every constructor in this package keeps both properties,
+// and ReadBinary rejects a file that breaks either.
 type Graph struct {
 	N       int32
 	Offsets []int32
@@ -120,9 +122,11 @@ func FromEdgesScratch(n int, edges []Edge, sc *Scratch) (*Graph, error) {
 // into one contiguous chunk per worker, each worker counts degrees into a
 // private histogram, the histograms are merged by a prefix-sum pass that
 // also assigns every worker a disjoint scatter range per vertex, and each
-// worker re-scans its chunk writing arcs without synchronization. Neighbor
-// lists are then sorted, so the output is deterministic (and identical to
-// the historical atomic-scatter construction).
+// worker re-scans its chunk writing arcs without synchronization into a
+// scratch buffer, in no particular order within a list. One stable
+// transpose of that buffer (see transpose) then writes the final
+// adjacency with every list ascending, so the output is deterministic and
+// identical to the historical atomic-scatter construction.
 func FromEdgesIn(e *parallel.Exec, n int, edges []Edge, sc *Scratch) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -155,31 +159,47 @@ func FromEdgesIn(e *parallel.Exec, n int, edges []Edge, sc *Scratch) (*Graph, er
 		return &Graph{N: int32(n), Offsets: offsets, Adj: []V{}}, nil
 	}
 
-	// One contiguous edge chunk per worker. Extra workers each cost an
-	// n-sized histogram, so cap their number at what the edge count can
-	// amortize (keeps scratch memory O(n + m)) and at a constant. When the
-	// cap would strand most workers — a very sparse graph on a many-core
-	// machine — the atomic-cursor scatter parallelizes better than a
-	// 2-worker histogram pass; take that path instead (the neighbor sort
-	// makes the output identical either way).
+	// One contiguous edge chunk per worker. When the worker cap strands
+	// most workers — a very sparse graph on a many-core machine — the
+	// atomic-cursor scatter parallelizes better than a 2-worker histogram
+	// pass; take that path instead (the transpose makes the output
+	// identical either way).
 	p := e.Procs()
-	nw := p
-	if lim := 1 + len(edges)/n; nw > lim {
-		nw = lim
-	}
-	if nw > 16 {
-		nw = 16
-	}
-	if nw < 1 {
-		nw = 1
-	}
+	nw := csrWorkers(p, n, 2*len(edges))
+	var src []V
+	var cur []int32
 	if p > 2*nw {
-		return fromEdgesAtomic(e, n, edges, offsets), nil
+		cur = sc.GetInt32(nw * n)
+		src = scatterAtomic(e, n, edges, offsets, cur[:n], sc)
+	} else {
+		chunk := (len(edges) + nw - 1) / nw
+		nw = (len(edges) + chunk - 1) / chunk
+		cur = sc.GetInt32(nw * n)
+		src = scatterHistogram(e, n, edges, offsets, nw, chunk, cur, sc)
 	}
-	chunk := (len(edges) + nw - 1) / nw
-	nw = (len(edges) + chunk - 1) / chunk
+	adj := make([]V, len(src))
+	if !transpose(e, offsets, src, adj, nw, cur) {
+		panic("graph: edge scatter produced asymmetric arcs")
+	}
+	sc.PutInt32(cur, src)
+	return &Graph{N: int32(n), Offsets: offsets, Adj: adj}, nil
+}
 
-	degW := sc.GetInt32(nw * n)
+// csrWorkers is the worker count of the edge scatter and of the transpose
+// for p workers, n > 0 vertices and the given number of arcs. Each worker
+// costs an n-sized histogram or cursor row, so the count is capped at
+// what the arcs can amortize (keeps scratch memory O(n + m)) and at a
+// constant.
+func csrWorkers(p, n, arcs int) int {
+	return min(p, 1+arcs/(2*n), 16)
+}
+
+// scatterHistogram returns a scratch buffer holding every edge's two arcs
+// grouped by source vertex, in no particular order within a group. Worker
+// w handles edges [w·chunk, (w+1)·chunk) through the row
+// degW[w·n : (w+1)·n]. offsets is the caller's zeroed (n+1)-array, turned
+// into the CSR offsets in place.
+func scatterHistogram(e *parallel.Exec, n int, edges []Edge, offsets []int32, nw, chunk int, degW []int32, sc *Scratch) []V {
 	parallel.FillIn(e, degW, 0)
 	e.ForGrain(nw, 1, func(w int) {
 		lo, hi := w*chunk, (w+1)*chunk
@@ -212,7 +232,7 @@ func FromEdgesIn(e *parallel.Exec, n int, edges []Edge, sc *Scratch) (*Graph, er
 			run += c
 		}
 	})
-	adj := make([]V, total)
+	src := sc.GetInt32(int(total))
 	e.ForGrain(nw, 1, func(w int) {
 		lo, hi := w*chunk, (w+1)*chunk
 		if hi > len(edges) {
@@ -221,25 +241,20 @@ func FromEdgesIn(e *parallel.Exec, n int, edges []Edge, sc *Scratch) (*Graph, er
 		cur := degW[w*n : (w+1)*n]
 		for i := lo; i < hi; i++ {
 			u, x := edges[i].U, edges[i].W
-			adj[cur[u]] = x
+			src[cur[u]] = x
 			cur[u]++
-			adj[cur[x]] = u
+			src[cur[x]] = u
 			cur[x]++
 		}
 	})
-	sc.PutInt32(degW)
-	g := &Graph{N: int32(n), Offsets: offsets, Adj: adj}
-	g.sortAdjacency(e)
-	return g, nil
+	return src
 }
 
-// fromEdgesAtomic is the fallback CSR construction for the regime where
-// per-worker histograms would cap parallelism (Procs far above the
-// memory-amortized worker limit): atomic degree counting and atomic-cursor
-// scatter over all workers. After the neighbor sort its output is
-// identical to the histogram path's. offsets is the caller's zeroed
-// (n+1)-array, filled in place.
-func fromEdgesAtomic(e *parallel.Exec, n int, edges []Edge, offsets []int32) *Graph {
+// scatterAtomic is scatterHistogram for the regime where per-worker
+// histograms would cap parallelism (Procs far above the memory-amortized
+// worker limit): atomic degree counting and atomic-cursor scatter over
+// all workers. cursor is scratch of n int32.
+func scatterAtomic(e *parallel.Exec, n int, edges []Edge, offsets, cursor []int32, sc *Scratch) []V {
 	e.ForBlock(len(edges), parallel.DefaultGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&offsets[edges[i].U], 1)
@@ -247,21 +262,79 @@ func fromEdgesAtomic(e *parallel.Exec, n int, edges []Edge, offsets []int32) *Gr
 		}
 	})
 	total := prim.ExclusiveScanInt32In(e, offsets)
-	adj := make([]V, total)
-	cursor := make([]int32, n)
-	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
-		copy(cursor[lo:hi], offsets[lo:hi])
-	})
+	src := sc.GetInt32(int(total))
+	parallel.CopyIn(e, cursor, offsets[:n])
 	e.ForBlock(len(edges), parallel.DefaultGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u, w := edges[i].U, edges[i].W
-			adj[atomic.AddInt32(&cursor[u], 1)-1] = w
-			adj[atomic.AddInt32(&cursor[w], 1)-1] = u
+			src[atomic.AddInt32(&cursor[u], 1)-1] = w
+			src[atomic.AddInt32(&cursor[w], 1)-1] = u
 		}
 	})
-	g := &Graph{N: int32(n), Offsets: offsets, Adj: adj}
-	g.sortAdjacency(e)
-	return g
+	return src
+}
+
+// transpose writes into dst the transpose of the arcs src holds under
+// offsets: dst's list of x holds every v with an arc v→x, in increasing
+// order of v, each as often as that arc repeats. Each of nw workers
+// walks an arc-balanced range of source vertices in increasing order. A
+// first pass counts the range's arcs into every target; a prefix over the
+// workers turns the counts into per-worker cursors into the target lists;
+// a second pass appends v to each target's list through the worker's
+// cursors. Earlier workers own smaller sources, so every list comes out
+// ascending without a sort. cur is scratch of nw·n int32.
+//
+// The transpose of a symmetric arc set is its own sorted adjacency and
+// fits offsets. transpose reports false, with dst unspecified and never
+// written out of bounds, when some vertex receives a different number of
+// arcs than it sends, which no symmetric arc set can do.
+func transpose(e *parallel.Exec, offsets []int32, src, dst []V, nw int, cur []int32) bool {
+	n := len(offsets) - 1
+	// bound[w] is the first source of worker w: the first vertex whose
+	// arcs start at or after w/nw of all arcs.
+	bound := make([]int, nw+1)
+	for w := 1; w < nw; w++ {
+		target := int32(w * len(src) / nw)
+		bound[w] = sort.Search(n, func(v int) bool { return offsets[v] >= target })
+	}
+	bound[nw] = n
+	e.ForGrain(nw, 1, func(w int) {
+		c := cur[w*n : (w+1)*n]
+		clear(c)
+		for _, x := range src[offsets[bound[w]]:offsets[bound[w+1]]] {
+			c[x]++
+		}
+	})
+	fits := parallel.ReduceIn(e, n, parallel.DefaultGrain, true,
+		func(lo, hi int) bool {
+			ok := true
+			for x := lo; x < hi; x++ {
+				run := offsets[x]
+				for w := 0; w < nw; w++ {
+					idx := w*n + x
+					c := cur[idx]
+					cur[idx] = run
+					run += c
+				}
+				ok = ok && run == offsets[x+1]
+			}
+			return ok
+		},
+		func(a, b bool) bool { return a && b })
+	if !fits {
+		return false
+	}
+	e.ForGrain(nw, 1, func(w int) {
+		c := cur[w*n : (w+1)*n]
+		for v := bound[w]; v < bound[w+1]; v++ {
+			for _, x := range src[offsets[v]:offsets[v+1]] {
+				i := c[x]
+				dst[i] = V(v)
+				c[x] = i + 1
+			}
+		}
+	})
+	return true
 }
 
 // MustFromEdges is FromEdges that panics on error; for tests and generators
@@ -272,16 +345,6 @@ func MustFromEdges(n int, edges []Edge) *Graph {
 		panic(err)
 	}
 	return g
-}
-
-// sortAdjacency sorts each neighbor list so that graph construction is
-// deterministic regardless of the parallel scatter order.
-func (g *Graph) sortAdjacency(e *parallel.Exec) {
-	e.ForBlock(int(g.N), 256, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			prim.SortInt32Small(g.Adj[g.Offsets[v]:g.Offsets[v+1]])
-		}
-	})
 }
 
 // Edges returns the undirected edge list (u <= w once per edge; self-loops

@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"slices"
+
+	"repro/internal/parallel"
 )
 
 // Binary interchange format:
@@ -65,9 +67,12 @@ func readInt32Chunked(r io.Reader, count int, what string) ([]int32, error) {
 // ReadBinary deserializes a graph written by WriteBinary. Every field of a
 // malformed or hostile input is validated: the header's sizes are bounded
 // before they drive allocation, offsets must start at 0 and be
-// non-decreasing, and neighbors must be in range — a corrupt file yields
-// an error, never a panic, an OOM-sized allocation, or a graph whose
-// accessors can fault later.
+// non-decreasing, neighbors must be in range, every neighbor list must be
+// ascending, and the arcs must be symmetric — a corrupt file yields an
+// error, never a panic, an OOM-sized allocation, or a graph whose
+// accessors can fault or answer wrongly later (HasEdge, Multiplicity and
+// PatchIn binary-search the lists, and every algorithm assumes both arcs
+// of an edge).
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var hdr [3]uint32
@@ -109,9 +114,25 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: decreasing offsets at %d", v)
 		}
 	}
-	for _, w := range g.Adj {
-		if w < 0 || int64(w) >= n {
-			return nil, fmt.Errorf("graph: neighbor %d out of range", w)
+	for v := int32(0); v < g.N; v++ {
+		prev := int32(-1)
+		for _, w := range g.Neighbors(v) {
+			if w < 0 || int64(w) >= n {
+				return nil, fmt.Errorf("graph: neighbor %d out of range", w)
+			}
+			if w < prev {
+				return nil, fmt.Errorf("graph: neighbor list of %d is not sorted", v)
+			}
+			prev = w
+		}
+	}
+	// The lists are in range and ascending, so the graph is symmetric iff
+	// its adjacency equals its own transpose.
+	if n > 0 {
+		nw := csrWorkers(parallel.Procs(), int(n), len(adj))
+		t := make([]V, len(adj))
+		if !transpose(nil, offsets, adj, t, nw, make([]int32, nw*int(n))) || !slices.Equal(t, adj) {
+			return nil, fmt.Errorf("graph: adjacency is not symmetric")
 		}
 	}
 	return g, nil

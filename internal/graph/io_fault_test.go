@@ -80,6 +80,43 @@ func TestReadBinaryMultiChunk(t *testing.T) {
 	}
 }
 
+// TestReadBinaryRejectsUnsortedOrAsymmetricLists writes CSR arrays that
+// WriteBinary serializes without checking. Each loaded cleanly before the
+// reader checked list order and symmetry, and then answered wrongly: with
+// 0's list stored as [3 1], HasEdge(0,1) and Multiplicity(0,1) missed the
+// edge and PatchIn refused the list; with a one-way arc, a Store reported
+// two vertices of one cycle as not biconnected.
+func TestReadBinaryRejectsUnsortedOrAsymmetricLists(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		g          *Graph
+	}{
+		{"4-cycle with 0's list descending", "not sorted", &Graph{
+			N: 4, Offsets: []int32{0, 2, 4, 6, 8}, Adj: []V{3, 1, 0, 2, 1, 3, 0, 2},
+		}},
+		{"one-way arc 2->0", "not symmetric", &Graph{
+			N: 3, Offsets: []int32{0, 1, 3, 5}, Adj: []V{1, 0, 2, 0, 1},
+		}},
+		{"directed triangle, in-degree equal to out-degree", "not symmetric", &Graph{
+			N: 3, Offsets: []int32{0, 1, 2, 3}, Adj: []V{1, 2, 0},
+		}},
+		{"last vertex receives more arcs than it sends", "not symmetric", &Graph{
+			N: 3, Offsets: []int32{0, 1, 2, 3}, Adj: []V{2, 2, 0},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tc.g.WriteBinary(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReadBinary error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestReadBinaryHostileHeader(t *testing.T) {
 	// A 12-byte header claiming ~4 billion vertices must fail fast without
 	// attempting a header-sized allocation.

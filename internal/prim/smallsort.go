@@ -2,8 +2,8 @@ package prim
 
 // SortInt32Small sorts a ascending without allocating: insertion sort below
 // a threshold and an in-place MSD radix sort (American flag style, 8-bit
-// digits) above it. It is built for the many small-to-medium sorts of CSR
-// construction — per-vertex adjacency lists — where the closure and
+// digits) above it. It is built for many small-to-medium sorts — the
+// sample sort's buckets and its own small inputs — where the closure and
 // reflection overhead of sort.Slice dominates; unlike the parallel
 // SortInt32 it never spawns parallel work, so it can be called from inside
 // parallel loop bodies. Negative values sort correctly (the top digit is

@@ -55,7 +55,8 @@ func TestSortInt32SmallExtremes(t *testing.T) {
 }
 
 func BenchmarkSortInt32SmallAdjacency(b *testing.B) {
-	// Simulates sortAdjacency: many small lists.
+	// 4,096 lists of 24 random values sorted back to back: the
+	// insertion-sort branch under many short calls.
 	rng := rand.New(rand.NewSource(9))
 	const lists = 4096
 	const deg = 24

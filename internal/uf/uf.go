@@ -7,6 +7,14 @@
 // disjoint sets. This is the structure the LDD-UF-JTB connectivity
 // algorithm of the paper (Thm. 5.1) relies on.
 //
+// A union links the smaller root under the larger, so every set is rooted
+// at its largest member whatever the order of the unions. The order still
+// sets the cost: a loop that unions forest-parent edges (v, parent(v))
+// visits v from the top id down, so v joins under the root its parent's
+// set already has; walking ids upward makes most unions crown v as a new
+// root above the old one, and concurrent workers then contend on one
+// growing root path.
+//
 // Seq is the classic sequential union-by-size structure used by the
 // verifiers and baselines.
 package uf
@@ -60,6 +68,9 @@ func (u *UF) Find(x int32) int32 {
 // the link that merged two previously distinct sets — under concurrency,
 // exactly one Union call returns true per merged pair of sets, which lets
 // callers harvest a spanning forest from the edges whose Union succeeded.
+// It links the smaller root under the larger, so every set stays rooted at
+// its largest member; a loop that unions forest-parent edges visits ids
+// downward, so each vertex joins under a root its parent's set already has.
 func (u *UF) Union(x, y int32) bool {
 	for {
 		rx, ry := u.Find(x), u.Find(y)
