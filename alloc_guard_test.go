@@ -227,7 +227,7 @@ func TestAllocGuardQueryBatch(t *testing.T) {
 	dst := make([]fastbcc.Answer, 0, len(qs))
 	ctx := context.Background()
 	avg := testing.AllocsPerRun(200, func() {
-		out, _, err := st.QueryBatch(ctx, h, "guard", qs, dst)
+		out, _, err := handleBatch(ctx, h, "guard", qs, dst)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -477,7 +477,7 @@ func (s *Store) journalAppend(en *storeEntry, name string, adds, dels []Edge) ui
 	}
 	en.jAdds = appendJEdges(en.jAdds[:0], adds)
 	en.jDels = appendJEdges(en.jDels[:0], dels)
-	nb, err := en.journal.Append(seq, en.jAdds, en.jDels, !s.journalNoSync)
+	nb, err := en.journal.Append(seq, en.jAdds, en.jDels, true)
 	if err != nil {
 		s.notePersistError(en, err)
 		s.metrics.walAppendErr.Inc()
@@ -801,13 +801,10 @@ func (s *Store) recoverDir(ctx context.Context, dir string) (*RecoveredGraph, er
 		// recovered) while we decoded: the live state wins.
 		return nil, nil
 	}
-	snap.store = s
 	snap.mapping = m // transfers the OpenMapped reference
-	snap.refs.Store(1)
 	en.version.Store(snap.Version)
 	en.appliedSeq = snap.mutSeq
-	s.live.Add(1)
-	en.cur.Store(snap)
+	s.publish(en, snap, 1)
 	ok = true
 	s.metrics.recovered.Inc()
 	s.metrics.ensureGraphGauges(s, meta.Name)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -612,4 +613,64 @@ func TestDurableWalSeqMonotonicAcrossRestart(t *testing.T) {
 	}
 	defer cur.Release()
 	diffIndexes(t, "three-generations", n, cur.Index, oracleIndex(t, n, want))
+}
+
+// TestDurableMappingSurvivesRebuildAndFastInsert: a recovered snapshot's
+// CSR aliases its mmap'd file, and so does every later version that
+// shares that CSR — a Rebuild with no overlay to fold, and a fast-class
+// insert. Each must hold the mapping itself: once the version it
+// replaced is reclaimed, one that did not would read unmapped memory
+// and fault.
+func TestDurableMappingSurvivesRebuildAndFastInsert(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	g := storeTestGraph(t)
+	s := durableStore(dir)
+	snap, err := s.Load(ctx, "g", g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	if err := s.Persist("g"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2 := durableStore(dir)
+	defer s2.Close()
+	if rep, err := s2.Recover(ctx); err != nil || len(rep.Graphs) != 1 {
+		t.Fatalf("recover: %+v, %v", rep, err)
+	}
+	// check waits until only the serving version is live — the
+	// background persister holds a fresh version while it writes it —
+	// then compares the served CSR with the loaded graph.
+	check := func(step string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for st := s2.Stats(); st.LiveSnapshots != 1 || st.RetiredSnapshots != 0; st = s2.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: live=%d retired=%d, want 1/0", step, st.LiveSnapshots, st.RetiredSnapshots)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		cur, err := s2.Acquire("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Release()
+		if !slices.Equal(cur.Graph.Offsets, g.Offsets) || !slices.Equal(cur.Graph.Adj, g.Adj) {
+			t.Fatalf("%s: served CSR differs from the loaded graph", step)
+		}
+	}
+
+	snap, err = s2.Rebuild(ctx, "g", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	check("rebuild")
+	if r, err := s2.ApplyBatch(ctx, "g", []fastbcc.Edge{{U: 0, W: 1}}, nil); err != nil || r.Fast != 1 {
+		t.Fatalf("fast insert: %+v, %v", r, err)
+	}
+	check("fast insert")
 }

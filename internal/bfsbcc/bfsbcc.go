@@ -37,11 +37,11 @@ import (
 	"repro/internal/prim"
 )
 
-// Options configures the baseline.
+// Options configures the baseline. Both of its connectivity passes, the
+// First-CC and the skeleton labeling, run conn's default algorithm,
+// LDD-UF-JTB.
 type Options struct {
 	Seed uint64
-	// ConnAlg selects the connectivity algorithm (GBBS uses UF-Async).
-	ConnAlg conn.Algorithm
 	// Exec is the execution context every parallel loop of the run uses
 	// (nil = the process-global default).
 	Exec *parallel.Exec
@@ -58,9 +58,8 @@ func BCC(g *graph.Graph, opt Options) *core.Result {
 	// ---- Step 1: First-CC (labels only) -----------------------------------
 	t0 := time.Now()
 	cc := conn.Connectivity(g, conn.Options{
-		Algorithm: opt.ConnAlg,
-		Seed:      opt.Seed,
-		Exec:      e,
+		Seed: opt.Seed,
+		Exec: e,
 	})
 	res.Times.FirstCC = time.Since(t0)
 
@@ -181,10 +180,9 @@ func BCC(g *graph.Graph, opt Options) *core.Result {
 		return !back(u, v) && !back(v, u)
 	}
 	sk := conn.Connectivity(g, conn.Options{
-		Algorithm: opt.ConnAlg,
-		Seed:      opt.Seed + 0x5eed,
-		Filter:    inSkeleton,
-		Exec:      e,
+		Seed:   opt.Seed + 0x5eed,
+		Filter: inSkeleton,
+		Exec:   e,
 	})
 	res.Label = sk.NormalizeIn(e)
 	res.NumLabels = sk.NumComp

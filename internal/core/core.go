@@ -61,13 +61,6 @@ type Options struct {
 	// Applies to First-CC; Last-CC streams the skeleton into a
 	// union-find directly and has no LDD to tune.
 	LocalSearch bool
-	// Beta is the LDD rate (0 = default). First-CC only, like LocalSearch.
-	Beta float64
-	// ConnAlg selects the connectivity algorithm for the First-CC phase.
-	// (Last-CC no longer runs a general connectivity algorithm: the
-	// skeleton arcs are known from the tags and go straight into a
-	// union-find.)
-	ConnAlg conn.Algorithm
 	// Scratch, when non-nil, recycles the ~16n int32 of per-run auxiliary
 	// buffers (tags, tour, connectivity state) across BCC calls, the
 	// serving pattern where the same process answers many decompositions.
@@ -190,8 +183,6 @@ func BCC(g *graph.Graph, opt Options) *Result {
 	// ---- Step 1: First-CC ------------------------------------------------
 	t0 := time.Now()
 	cc := conn.Connectivity(g, conn.Options{
-		Algorithm:   opt.ConnAlg,
-		Beta:        opt.Beta,
 		Seed:        opt.Seed,
 		LocalSearch: opt.LocalSearch,
 		WantForest:  true,

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/check"
-	"repro/internal/conn"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/seqbcc"
@@ -73,11 +72,6 @@ func TestLocalSearchVariant(t *testing.T) {
 	} {
 		assertMatchesSeq(t, g, Options{Seed: 1, LocalSearch: true})
 	}
-}
-
-func TestUFAsyncConnectivityVariant(t *testing.T) {
-	g := gen.ER(300, 700, 9)
-	assertMatchesSeq(t, g, Options{Seed: 2, ConnAlg: conn.UFAsync})
 }
 
 func TestSelfLoopsAndParallelEdges(t *testing.T) {

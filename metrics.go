@@ -134,18 +134,14 @@ type storeMetrics struct {
 	reg *obs.Registry
 
 	// Acquire discipline: epoch pins (Handle.Acquire) vs the CAS
-	// refcount fallback (Store.Acquire). Store.QueryBatch's epoch pin
-	// rides pinSlot of the batch bank instead of this counter — it
-	// flushes with the per-op counts on one cacheline, so the pin costs
-	// the batch no separate counter touch; the exposed epoch series
-	// sums both.
+	// refcount (Store.Acquire).
 	acquiresEpoch *obs.Counter
 	acquiresCAS   *obs.Counter
 
 	// Batch serving: one CounterBank carries the whole batch record —
-	// slot pinSlot the epoch pin, slots 1..opEnd-1 the per-op query
-	// volume (slot = QueryOp), slot batchSlot the call count — flushed
-	// once per batch onto a single cacheline.
+	// slots 1..opEnd-1 the per-op query volume (slot = QueryOp), slot
+	// batchSlot the call count — flushed once per batch onto a single
+	// cacheline.
 	batchQueries obs.CounterBank
 
 	// Build pipeline: outcomes, sheds, durations, per-phase breakdown
@@ -196,11 +192,8 @@ func newStoreMetrics(s *Store) *storeMetrics {
 	reg := obs.NewRegistry()
 	m := &storeMetrics{reg: reg}
 
-	m.acquiresEpoch = &obs.Counter{}
-	reg.CounterFunc("fastbcc_acquires_total",
-		"Snapshot acquires by reader discipline.",
-		func() int64 { return m.acquiresEpoch.Value() + m.batchQueries.Value(pinSlot) },
-		"discipline", "epoch")
+	m.acquiresEpoch = reg.Counter("fastbcc_acquires_total",
+		"Snapshot acquires by reader discipline.", "discipline", "epoch")
 	m.acquiresCAS = reg.Counter("fastbcc_acquires_total",
 		"Snapshot acquires by reader discipline.", "discipline", "refcount")
 
@@ -400,29 +393,24 @@ func (m *storeMetrics) recordBuild(err error, dur time.Duration, phases PhaseTim
 	}
 }
 
-// Bank slots of batchQueries beyond the per-op slots 1..opEnd-1.
-const (
-	// pinSlot counts Store.QueryBatch's epoch pins (see Handle.acquire).
-	pinSlot = 0
-	// batchSlot counts QueryBatch calls.
-	batchSlot = 7
-)
+// batchSlot is the bank slot of batchQueries that counts QueryBatch
+// calls, beyond the per-op slots 1..opEnd-1.
+const batchSlot = 7
 
 // opCounts is the stack-local tally a batch accumulates during
-// execution: slot pinSlot carries the batch's own epoch pin (when it
-// was taken through Store.QueryBatch), slots 1..opEnd-1 the per-op
-// query counts, slot batchSlot the call itself. Sized to the bank so
-// `op & 7` indexes without a bounds check.
+// execution: slots 1..opEnd-1 the per-op query counts, slot batchSlot
+// the call itself. Sized to the bank so `op & 7` indexes without a
+// bounds check.
 type opCounts [obs.BankSlots]int64
 
 // recordBatch flushes one successful batch into the counter bank. The
 // per-op counts were accumulated inside the execution loop (one
 // register add per query, overlapped with the query work — a separate
 // counting pass over a 256-query batch costs more than the flush
-// itself), so the entire batch record — call count, epoch pin, per-op
-// volume — is one shard pick and up to eight adds on a single
-// cacheline. The store core deliberately carries no batch latency
-// histogram: latency is recorded at the serving edge
+// itself), so the entire batch record — call count and per-op volume —
+// is one shard pick and up to seven adds on a single cacheline. The
+// store core deliberately carries no batch latency histogram: latency
+// is recorded at the serving edge
 // (bccd_http_request_duration_seconds), where a request costs tens of
 // microseconds and two clock reads vanish; on the ~2.5µs store batch
 // path those same two clock reads plus a histogram observation

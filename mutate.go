@@ -322,22 +322,11 @@ func (s *Store) applyClassified(en *storeEntry, name string, adds, dels []Edge) 
 			BuiltAt:   time.Now(),
 			BuildTime: time.Since(t0),
 			overlay:   overlay,
-			store:     s,
 		}
 		// This snapshot fully reflects the applied record (we hold sem, so
-		// appliedSeq > the previous watermark by construction); the shared
-		// Graph may alias a mapped snapshot file.
+		// appliedSeq > the previous watermark by construction).
 		en.appliedSeq = appliedSeq
-		snap.mutSeq = appliedSeq
-		if cur.mapping != nil {
-			cur.mapping.Retain()
-			snap.mapping = cur.mapping
-		}
-		snap.refs.Store(1) // the store's reference only — nothing returned
-		s.live.Add(1)
-		if old := en.cur.Swap(snap); old != nil {
-			s.epochs.Retire(old.Release)
-		}
+		s.publish(en, snap, 1) // the store's reference only — nothing returned
 		cur = snap
 	}
 	if fast > 0 {
@@ -481,82 +470,23 @@ func (s *Store) flushOnce(en *storeEntry, name string, q []edgeDelta, gen uint64
 	if cur == nil {
 		return errDeltasDropped
 	}
-
-	t0 := time.Now()
-	res, idx, g, err := s.flushBuild(ctx, cur, q)
-	dur := time.Since(t0)
-	trace := BuildTrace{Algorithm: cur.Algorithm, StartedAt: t0, Duration: dur, Outcome: buildOutcome(err)}
+	snap, err := s.buildLocked(ctx, en, name, cur, nil, q, Options{})
 	if err != nil {
-		trace.Error = err.Error()
-		en.traces.add(trace)
-		en.recordFailure(err)
-		s.buildFails.Add(1)
-		s.metrics.recordBuild(err, dur, PhaseTimes{})
 		return err
-	}
-	en.clearFailure()
-	snap := &Snapshot{
-		Name:      name,
-		Version:   en.version.Add(1),
-		Algorithm: cur.Algorithm,
-		Graph:     g,
-		Result:    res,
-		Index:     idx,
-		BuiltAt:   time.Now(),
-		BuildTime: dur,
-		store:     s,
 	}
 	// The flush materialized every stolen delta: the watermark advances
 	// to the batch's last record (deltas arrive in seq order), and once
 	// this snapshot is durably persisted the journal prefix through it
-	// truncates away. No mapping propagation: materializeGraph built a
-	// fresh CSR, nothing here aliases a mapped file.
+	// truncates away.
 	if last := q[len(q)-1].seq; last > en.appliedSeq {
 		en.appliedSeq = last
 	}
-	snap.mutSeq = en.appliedSeq
-	snap.refs.Store(1)
-	trace.Version = snap.Version
-	trace.Phases = res.Times
-	en.traces.add(trace)
-	s.metrics.recordBuild(nil, dur, res.Times)
 	// One unit per second: _sum renders as the exact delta count.
 	s.metrics.mutFlushSize.Observe(time.Duration(len(q)) * time.Second)
 	en.flushes.Add(1)
-	s.live.Add(1)
-	if old := en.cur.Swap(snap); old != nil {
-		s.epochs.Retire(old.Release)
-	}
+	s.publish(en, snap, 1)
 	s.kickPersist(en, name)
 	return nil
-}
-
-// flushBuild is flushOnce's fallible core: faultpoint, graph
-// materialization, and the pipeline run, with panics captured (the
-// delta-flush faultpoint's armed panic lands here and becomes an
-// ordinary re-queueing failure).
-func (s *Store) flushBuild(ctx context.Context, cur *Snapshot, q []edgeDelta) (res *Result, idx *Index, g *Graph, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			res, idx, g = nil, nil, nil
-			err = fmt.Errorf("fastbcc: delta flush: %w: %v", ErrBuildPanic, rec)
-		}
-	}()
-	if err := faultpoint.CheckCtx(ctx, faultpoint.MutateDeltaFlush); err != nil {
-		return nil, nil, nil, err
-	}
-	g, err = materializeGraph(s.runner.exec, cur.Graph, cur.overlay, q)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	o := Options{Algorithm: cur.Algorithm}
-	s.inFlight.Add(1)
-	res, idx, err = s.runner.buildIndex(ctx, g, &o)
-	s.inFlight.Add(-1)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res, idx, g, nil
 }
 
 // FlushDeltas synchronously drains name's pending mutation deltas — the

@@ -2,7 +2,6 @@ package fastbcc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -160,18 +159,6 @@ func (h *Handle) entry(name string) (*storeEntry, error) {
 // Acquires nest (each needs its own Release), and the reservation
 // covers every snapshot acquired under it.
 func (h *Handle) Acquire(name string) (*Snapshot, error) {
-	snap, err := h.acquire(name)
-	if err == nil {
-		h.store.metrics.acquiresEpoch.Inc()
-	}
-	return snap, err
-}
-
-// acquire is Acquire without the metric touch: Store.QueryBatch counts
-// its pin through the batch's counter-bank flush (opCounts slot 0)
-// instead of a separate sharded counter, so the batch fast path dirties
-// one metrics cacheline, not two.
-func (h *Handle) acquire(name string) (*Snapshot, error) {
 	en, err := h.entry(name)
 	if err != nil {
 		return nil, err
@@ -182,6 +169,7 @@ func (h *Handle) acquire(name string) (*Snapshot, error) {
 		h.eh.Unpin()
 		return nil, notLoadedErr(name)
 	}
+	h.store.metrics.acquiresEpoch.Inc()
 	return snap, nil
 }
 
@@ -215,13 +203,6 @@ const parallelBatchMin = 1 << 15
 // query fails the whole batch with an error naming its index — no
 // partial answers.
 func (sn *Snapshot) QueryBatch(ctx context.Context, qs []Query, dst []Answer) ([]Answer, error) {
-	return sn.queryBatch(ctx, qs, dst, false)
-}
-
-// queryBatch is QueryBatch plus the epochPin flag: true when the caller
-// is Store.QueryBatch and its handle pin should be counted through the
-// batch flush (see opCounts).
-func (sn *Snapshot) queryBatch(ctx context.Context, qs []Query, dst []Answer, epochPin bool) ([]Answer, error) {
 	if err := faultpoint.CheckCtx(ctx, faultpoint.SlowQuery); err != nil {
 		return nil, err
 	}
@@ -237,10 +218,6 @@ func (sn *Snapshot) queryBatch(ctx context.Context, qs []Query, dst []Answer, ep
 	n := int32(sn.Graph.NumVertices())
 
 	var counts opCounts
-	if epochPin {
-		counts[pinSlot] = 1
-	}
-
 	// A Snapshot built outside a Store has no Runner to fan out over;
 	// it answers every batch on the calling goroutine.
 	if len(qs) >= parallelBatchMin && sn.store != nil {
@@ -271,9 +248,8 @@ func (sn *Snapshot) queryBatch(ctx context.Context, qs []Query, dst []Answer, ep
 		}
 	}
 	// Stats accounting: the batch call rides the same bank flush as the
-	// per-op tallies and the epoch pin, so Stats and
-	// fastbcc_batches_total read one count. A store-less Snapshot has
-	// nothing to record into.
+	// per-op tallies, so Stats and fastbcc_batches_total read one count.
+	// A store-less Snapshot has nothing to record into.
 	if sn.store != nil {
 		counts[batchSlot] = 1
 		sn.store.metrics.recordBatch(&counts)
@@ -370,38 +346,4 @@ func queryErr(i int, q *Query, n int32) error {
 	default:
 		return fmt.Errorf("fastbcc: query %d: vertex x=%d out of range [0,%d)", i, q.X, n)
 	}
-}
-
-// QueryBatch resolves the current snapshot of name and answers qs
-// against it: one reservation, one snapshot resolve, N scalar queries —
-// the per-query cost approaches the raw 2–14ns Index core instead of
-// paying a full Acquire/Release hop each.
-//
-// With a non-nil Handle the reservation is the epoch fast path (two
-// uncontended stores); a nil Handle falls back to the compatible
-// refcount CAS pair, so handle-less callers keep working. Answers are
-// appended to dst[:0] (see Snapshot.QueryBatch for the reuse contract
-// and validation semantics). The snapshot version the batch was
-// answered from is returned alongside the answers — batches racing a
-// rebuild see one consistent version, never a mix.
-func (s *Store) QueryBatch(ctx context.Context, h *Handle, name string, qs []Query, dst []Answer) ([]Answer, int64, error) {
-	if h != nil {
-		if h.store != s {
-			return nil, 0, errors.New("fastbcc: QueryBatch: handle belongs to a different Store")
-		}
-		snap, err := h.acquire(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer h.Release()
-		out, err := snap.queryBatch(ctx, qs, dst, true)
-		return out, snap.Version, err
-	}
-	snap, err := s.Acquire(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer snap.Release()
-	out, err := snap.QueryBatch(ctx, qs, dst)
-	return out, snap.Version, err
 }

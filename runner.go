@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/faultpoint"
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -123,25 +121,14 @@ func (r *Runner) run(ctx context.Context, g *Graph, opts *Options) (res *Result,
 		o = *opts
 	}
 	ex := r.exec.Limit(o.Threads).WithContext(ctx)
-	sc := o.Scratch
-	if sc == nil {
+	if o.Scratch == nil {
 		arena := r.arenas.Get().(*Scratch)
 		defer r.arenas.Put(arena)
-		sc = arena
+		o.Scratch = arena
 	}
-	if o.Algorithm == "" || o.Algorithm == engine.Default {
-		res := core.BCC(g, core.Options{Seed: o.Seed, LocalSearch: o.LocalSearch, Scratch: sc, Exec: ex})
-		// Serving contract: results handed out by a Runner (and the
-		// Store snapshots built on it) carry the topology caches
-		// precomputed on the Runner's own workers, so a published
-		// snapshot never hits the lazy compute path from a query.
-		res.PrecomputeTopologyIn(ex)
-		if err := r.buildErr(ex); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	o.Scratch = sc
+	// Registry engines return results with the topology caches already
+	// computed on ex, so a published snapshot never hits the lazy
+	// compute path from a query.
 	res, err = runEngine(g, o, ex)
 	if err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/epoch"
+	"repro/internal/faultpoint"
 	"repro/internal/persist"
 )
 
@@ -40,14 +41,13 @@ var (
 //
 // Two reader disciplines protect a snapshot's lifetime:
 //
-//   - Epoch pins (the fast path): a Handle pinned across Store.Acquire
-//     on the handle, or a Store.QueryBatch call, protects the snapshot
-//     with two uncontended stores on the handle's private slot; the
-//     snapshot must not be used after the handle's Release.
-//   - Refcounts (the compatible fallback): handle-less Store.Acquire
-//     CAS-retains the snapshot's shared refcount and the caller must
-//     Snapshot.Release it — the pre-epoch contract, kept for callers
-//     that hold snapshots across goroutines or for unbounded time.
+//   - Epoch pins (the fast path): Handle.Acquire protects the snapshot
+//     with two uncontended stores on the handle's private slot until
+//     the handle's Release, after which the snapshot must not be used.
+//     Batches run Handle.Acquire → Snapshot.QueryBatch → Handle.Release.
+//   - Refcounts: Store.Acquire CAS-retains the snapshot's shared
+//     refcount and the caller must Snapshot.Release it — for callers
+//     that hold a snapshot across goroutines or for unbounded time.
 //
 // A superseded snapshot is retired into the Store's epoch domain and
 // reclaimed only when no pin and no refcount can still reach it.
@@ -150,8 +150,8 @@ func (s *Snapshot) Release() {
 // successful build clears it. Builds are bounded three ways: the
 // caller's context cancels cooperatively through the whole pipeline, a
 // configured BuildTimeout caps every build, and an admission gate sheds
-// builds with ErrSaturated once MaxConcurrentBuilds are in flight and a
-// slot does not free within BuildQueueWait. The Acquire→query→Release
+// Load and Rebuild builds with ErrSaturated once MaxConcurrentBuilds are
+// in flight and a slot does not free within BuildQueueWait. The Acquire→query→Release
 // path takes none of these locks or gates — queries are never shed.
 //
 // All methods are safe for concurrent use. The zero value is not usable;
@@ -162,7 +162,7 @@ type Store struct {
 
 	// epochs is the snapshot-reclamation domain: superseded snapshots
 	// are retired into it instead of dropping the store's reference
-	// immediately, so epoch-pinned readers (Handle/QueryBatch) never
+	// immediately, so epoch-pinned readers (Handles) never
 	// race a release. Rebuilds advance the epoch and scan on reclaim;
 	// Stats also reclaims, so the live gauge is self-healing even when
 	// no further rebuilds arrive.
@@ -188,9 +188,8 @@ type Store struct {
 
 	// Durability configuration and store-wide counters (see durable.go).
 	// dataDir == "" disables persistence entirely.
-	dataDir       string
-	verifyOnLoad  bool
-	journalNoSync bool
+	dataDir      string
+	verifyOnLoad bool
 
 	persistFails atomic.Int64 // failed snapshot writes / journal appends
 
@@ -334,9 +333,12 @@ type StoreConfig struct {
 	// Workers is the Runner worker budget shared by all builds
 	// (< 1 selects GOMAXPROCS).
 	Workers int
-	// MaxConcurrentBuilds bounds builds in flight across all names
-	// (0 = unbounded). Builds beyond the bound wait up to BuildQueueWait
-	// for a slot, then fail wrapping ErrSaturated.
+	// MaxConcurrentBuilds bounds Load and Rebuild builds in flight
+	// across all names (0 = unbounded). Builds beyond the bound wait up
+	// to BuildQueueWait for a slot, then fail wrapping ErrSaturated.
+	// Delta flush builds take no slot: a shed flush would park mutations
+	// that were already acknowledged until the next mutation arrives to
+	// restart the flusher.
 	MaxConcurrentBuilds int
 	// BuildQueueWait is how long an admitted-over-capacity build may
 	// wait for a slot before being shed (0 = shed immediately when
@@ -367,10 +369,6 @@ type StoreConfig struct {
 	// (header/meta/directory eagerly, sections in the background while
 	// the snapshot already serves).
 	VerifyOnLoad bool
-	// JournalNoSync skips the fsync on journal appends: acknowledged
-	// mutations may be lost on a machine crash (not a process crash).
-	// For benchmarks and tests; leave false in production.
-	JournalNoSync bool
 }
 
 // NewStore returns a Store whose rebuilds share a Runner with workers-1
@@ -392,7 +390,6 @@ func NewStoreWithConfig(cfg StoreConfig) *Store {
 		mutationCoalesce: cfg.MutationCoalesce,
 		dataDir:          cfg.DataDir,
 		verifyOnLoad:     cfg.VerifyOnLoad,
-		journalNoSync:    cfg.JournalNoSync,
 	}
 	if cfg.MaxConcurrentBuilds > 0 {
 		s.buildSem = make(chan struct{}, cfg.MaxConcurrentBuilds)
@@ -422,13 +419,17 @@ func (s *Store) lookup(name string) (*storeEntry, error) {
 
 // Load computes the decomposition and index of g and installs it as the
 // current snapshot of name (creating or replacing the entry). It returns
-// the new snapshot retained for the caller: Release it when done.
+// the new snapshot retained for the caller: Release it when done. A nil
+// g is an error and leaves the catalog untouched.
 //
 // The build observes ctx cooperatively: canceling it (or exceeding its
 // deadline, or the Store's BuildTimeout) abandons the build, frees its
 // admission slot, and leaves the entry's previous snapshot — if any —
 // serving. A failed build records per-entry failure state (see Status).
 func (s *Store) Load(ctx context.Context, name string, g *Graph, opts *Options) (*Snapshot, error) {
+	if g == nil {
+		return nil, fmt.Errorf("fastbcc: load %q: nil graph", name)
+	}
 	en, err := s.entry(name)
 	if err != nil {
 		return nil, err
@@ -500,12 +501,7 @@ func (s *Store) releaseSlot() {
 
 // build computes and installs one snapshot version. g == nil reuses the
 // entry's current graph (Rebuild); the read happens under the entry's
-// build lock so a concurrent Load's replacement graph is not lost. An
-// unknown opts.Algorithm is an error (no snapshot is installed). An
-// empty one selects the entry's current algorithm on rebuilds — so a
-// rebuild sticks with the engine the graph was loaded with — but the
-// documented default engine on loads, including loads that replace an
-// existing entry.
+// build lock so a concurrent Load's replacement graph is not lost.
 func (s *Store) build(ctx context.Context, en *storeEntry, name string, g *Graph, opts *Options) (*Snapshot, error) {
 	// Admission first: saturation is detected ahead of any per-entry
 	// lock queue, so a shed build never holds anything.
@@ -548,28 +544,49 @@ func (s *Store) build(ctx context.Context, en *storeEntry, name string, g *Graph
 	if opts != nil {
 		o = *opts
 	}
-	isLoad := g != nil
 	cur := en.cur.Load()
-	if g == nil {
-		if cur == nil {
-			return nil, notLoadedErr(name)
-		}
-		g = cur.Graph
-		if o.Algorithm == "" {
-			o.Algorithm = cur.Algorithm
-		}
-		// A rebuild recomputes the *current* edge set: applied-but-
-		// unmaterialized overlay insertions fold into the CSR here, so no
-		// classified mutation is ever lost to a rebuild. Pending deltas
-		// stay queued — they apply on top of the new snapshot, same graph
-		// generation.
-		if len(cur.overlay) > 0 {
-			mg, merr := materializeGraph(s.runner.exec, cur.Graph, cur.overlay, nil)
-			if merr != nil {
-				return nil, merr
-			}
-			g = mg
-		}
+	if g == nil && cur == nil {
+		return nil, notLoadedErr(name)
+	}
+	snap, err := s.buildLocked(ctx, en, name, cur, g, nil, o)
+	if err != nil {
+		return nil, err
+	}
+	if g != nil {
+		// The graph was replaced wholesale: pending deltas describe edges
+		// of the old graph and die with it. Bumping the generation also
+		// tells a flush that already stole a batch to drop it.
+		en.mutMu.Lock()
+		en.graphGen.Add(1)
+		en.deltaQ = nil
+		en.deltaSince = time.Time{}
+		en.mutMu.Unlock()
+		// Journal history dies with the old graph too; appliedSeq catches
+		// up to walSeq so no obsolete record replays over the new graph.
+		s.initDurableEntry(en, name)
+	}
+	s.publish(en, snap, 2) // the store's reference + the returned one
+	s.kickPersist(en, name)
+	return snap, nil
+}
+
+// buildLocked runs one build attempt for en and returns the new version,
+// not yet published. Caller holds en's build lock. A non-nil g is built
+// as given (a Load); g == nil rebuilds cur's graph with its overlay and
+// the deltas q folded into a fresh CSR (a Rebuild passes none, a delta
+// flush its stolen batch), so no applied mutation is lost to a rebuild.
+// A Rebuild leaves pending deltas queued: they apply on top of the new
+// version, in the same graph generation.
+//
+// An empty o.Algorithm selects cur's engine when rebuilding — a rebuild
+// sticks with the engine the graph was loaded with — but the default
+// engine on a Load, including one that replaces an existing entry. An
+// unknown algorithm fails before the attempt starts. Every other attempt,
+// fold included, is timed and recorded once: the trace ring, the
+// entry's failure state, buildFails and the build metrics.
+func (s *Store) buildLocked(ctx context.Context, en *storeEntry, name string, cur *Snapshot, g *Graph, q []edgeDelta, o Options) (*Snapshot, error) {
+	if g == nil && o.Algorithm == "" {
+		o.Algorithm = cur.Algorithm
 	}
 	algo, err := resolveAlgorithm(o.Algorithm)
 	if err != nil {
@@ -578,18 +595,16 @@ func (s *Store) build(ctx context.Context, en *storeEntry, name string, g *Graph
 	o.Algorithm = algo
 	t0 := time.Now()
 	s.inFlight.Add(1)
-	res, idx, err := s.runner.buildIndex(ctx, g, &o)
+	g, res, idx, err := s.foldAndBuild(ctx, cur, g, q, &o)
 	s.inFlight.Add(-1)
 	dur := time.Since(t0)
-	trace := BuildTrace{Algorithm: algo, StartedAt: t0, Duration: dur, Outcome: buildOutcome(err)}
-	if res != nil {
-		trace.Phases = res.Times
+	if err != nil && q != nil {
+		err = fmt.Errorf("fastbcc: delta flush: %w", err)
 	}
+	trace := BuildTrace{Algorithm: algo, StartedAt: t0, Duration: dur, Outcome: buildOutcome(err)}
 	if err != nil {
-		// The build itself failed (panic, cancellation, deadline,
-		// injected fault, engine error): record it on the entry — the
-		// last-good snapshot, if any, keeps serving — and count it
-		// store-wide.
+		// Panic, cancellation, deadline, injected fault, fold or engine
+		// error: the last-good snapshot, if any, keeps serving.
 		trace.Error = err.Error()
 		en.traces.add(trace)
 		en.recordFailure(err)
@@ -607,48 +622,59 @@ func (s *Store) build(ctx context.Context, en *storeEntry, name string, g *Graph
 		Index:     idx,
 		BuiltAt:   time.Now(),
 		BuildTime: dur,
-		store:     s,
 	}
-	snap.refs.Store(2) // the store's reference + the returned handle
 	trace.Version = snap.Version
+	trace.Phases = res.Times
 	en.traces.add(trace)
 	s.metrics.recordBuild(nil, dur, res.Times)
-	s.live.Add(1)
-	if isLoad {
-		// The graph was replaced wholesale: pending deltas describe edges
-		// of the old graph and die with it. Bumping the generation also
-		// tells a flush that already stole a batch to drop it.
-		en.mutMu.Lock()
-		en.graphGen.Add(1)
-		en.deltaQ = nil
-		en.deltaSince = time.Time{}
-		en.mutMu.Unlock()
-		// Journal history dies with the old graph too; appliedSeq catches
-		// up to walSeq so no obsolete record replays over the new graph.
-		s.initDurableEntry(en, name)
+	return snap, nil
+}
+
+// foldAndBuild is buildLocked's fallible part: the delta-flush fault
+// point, the fold, and the pipeline run, with any panic — the armed
+// fault point's included — captured as an error wrapping ErrBuildPanic.
+func (s *Store) foldAndBuild(ctx context.Context, cur *Snapshot, g *Graph, q []edgeDelta, o *Options) (_ *Graph, res *Result, idx *Index, err error) {
+	defer recoverBuildPanic(&err)
+	if g == nil {
+		if q != nil {
+			if err := faultpoint.CheckCtx(ctx, faultpoint.MutateDeltaFlush); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		g = cur.Graph
+		if len(cur.overlay) > 0 || len(q) > 0 {
+			if g, err = materializeGraph(s.runner.exec, cur.Graph, cur.overlay, q); err != nil {
+				return nil, nil, nil, err
+			}
+		}
 	}
-	// A rebuild over the current graph (no overlay fold) shares its CSR
-	// arrays; if those alias a mapped snapshot file, this snapshot keeps
-	// the mapping alive too.
-	if cur != nil && snap.Graph == cur.Graph && cur.mapping != nil {
+	if res, idx, err = s.runner.buildIndex(ctx, g, o); err != nil {
+		return nil, nil, nil, err
+	}
+	return g, res, idx, nil
+}
+
+// publish installs snap as en's current version. It is the one place a
+// version gets its store, its journal watermark (appliedSeq, guarded by
+// the build lock the caller holds, is exactly what snap reflects), its
+// initial refcount — the store's reference plus any the caller hands
+// out — and its live count. A version that shares the replaced one's CSR
+// also shares its mmap mapping, whose reference it then holds. The
+// replaced version is retired into the epoch domain: epoch-pinned
+// readers may still be inside it, so the store's reference drops only
+// once every pin that could hold it has drained.
+func (s *Store) publish(en *storeEntry, snap *Snapshot, refs int64) {
+	snap.store = s
+	snap.mutSeq = en.appliedSeq
+	snap.refs.Store(refs)
+	if cur := en.cur.Load(); cur != nil && cur.mapping != nil && cur.Graph == snap.Graph {
 		cur.mapping.Retain()
 		snap.mapping = cur.mapping
 	}
-	// The fresh build reflects everything applied so far (a rebuild folds
-	// the overlay; queued deltas stay queued and are NOT in this
-	// snapshot) — appliedSeq, guarded by the sem we hold, is exactly that
-	// watermark.
-	snap.mutSeq = en.appliedSeq
+	s.live.Add(1)
 	if old := en.cur.Swap(snap); old != nil {
-		// The old version is unpublished (the swap) but epoch-pinned
-		// readers may still be inside it: retire it into the domain,
-		// which drops the store's reference only once every pin that
-		// could hold it has drained. Refcount holders are unaffected —
-		// the deferred Release just removes the store's share.
 		s.epochs.Retire(old.Release)
 	}
-	s.kickPersist(en, name)
-	return snap, nil
 }
 
 // Acquire retains and returns the current snapshot of name. The caller
@@ -878,7 +904,7 @@ func (s *Store) Stats() StoreStats {
 	}
 	s.mu.RUnlock()
 	// The batch bank carries the call count in batchSlot and the query
-	// volume in the per-op slots. See Snapshot.queryBatch.
+	// volume in the per-op slots. See Snapshot.QueryBatch.
 	m := s.metrics
 	var batchQueries int64
 	for op := OpConnected; op < opEnd; op++ {

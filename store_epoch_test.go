@@ -52,7 +52,9 @@ func TestStoreEpochReclamationStress(t *testing.T) {
 			X:  int32(i*13+9) % n,
 		}
 	}
-	want, _, err := st.QueryBatch(ctx, nil, "churn", qs, nil)
+	h0 := st.NewHandle()
+	defer h0.Close()
+	want, _, err := handleBatch(ctx, h0, "churn", qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestStoreEpochReclamationStress(t *testing.T) {
 			dst := make([]fastbcc.Answer, 0, len(qs))
 			var lastVersion int64
 			for !stop.Load() {
-				out, version, err := st.QueryBatch(ctx, h, "churn", qs, dst)
+				out, version, err := handleBatch(ctx, h, "churn", qs, dst)
 				if err != nil {
 					t.Errorf("batch under churn: %v", err)
 					return
@@ -178,41 +180,6 @@ func TestStoreHandleCatalogCache(t *testing.T) {
 	h.Release()
 }
 
-// TestStoreQueryBatchNilHandle: the CAS-refcount fallback answers
-// exactly like the epoch path.
-func TestStoreQueryBatchNilHandle(t *testing.T) {
-	st := fastbcc.NewStore(0)
-	defer st.Close()
-	g := fastbcc.GenerateRMAT(8, 8, 2)
-	snap, err := st.Load(context.Background(), "g", g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Release()
-	qs := []fastbcc.Query{
-		{Op: fastbcc.OpConnected, U: 0, V: 5},
-		{Op: fastbcc.OpCutsOnPath, U: 0, V: 5},
-	}
-	viaNil, v1, err := st.QueryBatch(context.Background(), nil, "g", qs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := st.NewHandle()
-	defer h.Close()
-	viaHandle, v2, err := st.QueryBatch(context.Background(), h, "g", qs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1 != v2 {
-		t.Fatalf("versions differ: %d vs %d", v1, v2)
-	}
-	for i := range qs {
-		if viaNil[i] != viaHandle[i] {
-			t.Fatalf("answer %d: %d via refcount vs %d via handle", i, viaNil[i], viaHandle[i])
-		}
-	}
-}
-
 // TestStoreQueryBatchParallelPath exercises the large-batch fan-out over
 // the Runner workers (and its error propagation) with a batch over the
 // parallel threshold, and the same batch on a Snapshot built outside a
@@ -226,6 +193,8 @@ func TestStoreQueryBatchParallelPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Release()
+	h := st.NewHandle()
+	defer h.Close()
 	n := int32(g.NumVertices())
 
 	const big = 1 << 16 // over parallelBatchMin
@@ -238,7 +207,7 @@ func TestStoreQueryBatchParallelPath(t *testing.T) {
 			X:  int32(i*5+1) % n,
 		}
 	}
-	out, _, err := st.QueryBatch(context.Background(), nil, "g", qs, nil)
+	out, _, err := handleBatch(context.Background(), h, "g", qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +215,7 @@ func TestStoreQueryBatchParallelPath(t *testing.T) {
 	for _, i := range []int{0, 1, 12345, big - 1} {
 		q := qs[i]
 		var want fastbcc.Answer
-		single, _, err := st.QueryBatch(context.Background(), nil, "g", []fastbcc.Query{q}, nil)
+		single, _, err := handleBatch(context.Background(), h, "g", []fastbcc.Query{q}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,9 +241,22 @@ func TestStoreQueryBatchParallelPath(t *testing.T) {
 	copy(bad, qs)
 	bad[40000].V = n + 5
 	bad[50000].Op = 0
-	if _, _, err := st.QueryBatch(context.Background(), nil, "g", bad, nil); err == nil {
+	if _, _, err := handleBatch(context.Background(), h, "g", bad, nil); err == nil {
 		t.Fatal("parallel batch with invalid query succeeded")
 	} else if want := "query 40000"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("parallel batch error %q does not name the lowest bad index (%s)", err, want)
 	}
+}
+
+// handleBatch answers qs against name's current snapshot the way the
+// serving paths do — Handle.Acquire, Snapshot.QueryBatch, Handle.Release
+// — and returns the version the batch was answered from.
+func handleBatch(ctx context.Context, h *fastbcc.Handle, name string, qs []fastbcc.Query, dst []fastbcc.Answer) ([]fastbcc.Answer, int64, error) {
+	snap, err := h.Acquire(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer h.Release()
+	out, err := snap.QueryBatch(ctx, qs, dst)
+	return out, snap.Version, err
 }

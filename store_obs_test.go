@@ -165,7 +165,7 @@ func TestStoreMetricsRegistryGathers(t *testing.T) {
 	defer h.Close()
 	qs := []fastbcc.Query{{Op: fastbcc.OpConnected, U: 0, V: 6}, {Op: fastbcc.OpBiconnected, U: 0, V: 1}}
 	for i := 0; i < 3; i++ {
-		if _, _, err := s.QueryBatch(context.Background(), h, "demo", qs, nil); err != nil {
+		if _, _, err := handleBatch(context.Background(), h, "demo", qs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	fastbcc "repro"
 )
@@ -187,3 +188,40 @@ var (
 type errString string
 
 func (e errString) Error() string { return string(e) }
+
+// TestStoreLoadNilGraphFails: Load with a nil graph is an error that
+// touches nothing. Under a new name it leaves no catalog entry; over a
+// loaded graph it neither rebuilds nor bumps the version, and the
+// pending delta stays queued.
+func TestStoreLoadNilGraphFails(t *testing.T) {
+	s := fastbcc.NewStoreWithConfig(fastbcc.StoreConfig{Workers: 2, MutationCoalesce: time.Hour})
+	defer s.Close()
+	ctx := context.Background()
+	if snap, err := s.Load(ctx, "x", nil, nil); err == nil {
+		snap.Release()
+		t.Error("Load of a nil graph under a new name succeeded")
+	}
+	if names, graphs := s.Names(), s.Stats().Graphs; len(names) != 0 || graphs != 0 {
+		t.Errorf("Load of a nil graph left an entry: Names() = %v, Stats().Graphs = %d", names, graphs)
+	}
+
+	snap, err := s.Load(ctx, "g", storeTestGraph(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	if _, err := s.ApplyBatch(ctx, "g", nil, []fastbcc.Edge{{U: 4, W: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := s.Load(ctx, "g", nil, nil); err == nil {
+		snap.Release()
+		t.Error("Load of a nil graph over a loaded one succeeded")
+	}
+	st, err := s.Status("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != 1 || st.PendingDeltas != 1 {
+		t.Errorf("after a nil-graph Load: version %d, %d pending deltas; want 1 and 1", st.Version, st.PendingDeltas)
+	}
+}
