@@ -13,16 +13,21 @@
 //     edge per bridge) answers edge-removal questions: how many bridges
 //     separate u from v, and whether they are 2-edge-connected.
 //
-// Construction is parallel and reuses the pipeline's own machinery. Both
-// forests' edge lists are in hand, so their trees come from one concurrent
-// union-find pass each, as do the 2ECC labels (core.Result.TwoECC, over the
-// spanning forest's parent edges): no connectivity search runs. The forests
-// are rooted with the Euler tour technique (internal/etour), per tree-node
-// depths come from a parallel prefix sum over the tour's ±1 depth deltas,
-// and lowest-common-ancestor queries reduce to a range minimum over the
-// tour-ordered depth array (internal/rmq) — the same structure the Tagging
-// step uses for low/high. Total work is O(n + m); the index retains O(n)
-// words and never aliases scratch memory.
+// Construction is parallel and reuses the pipeline's own machinery. The
+// decomposition already fixes both forests' parents. A block hangs below
+// its head's cut node, and a cut vertex below the block of its own label.
+// The 2ECC labels come from one union-find pass over the spanning forest's
+// parent edges (core.Result.TwoECCBridgesIn), whose bridge test marks
+// every bridge on the way, and each 2ECC hangs across the bridge above its
+// top vertex. So parallel passes over labels and vertices write every
+// parent once, with no edge list, connectivity search or sort, and the
+// Euler tour technique (etour.FromParentsIn) tours both forests straight
+// from those parents. Per tree-node depths come from a parallel prefix sum
+// over the tour's ±1 depth deltas, and lowest-common-ancestor queries
+// reduce to a range minimum over the tour-ordered depth array
+// (internal/rmq) — the same structure the Tagging step uses for low/high.
+// Total work is O(n + m); the index retains O(n) words and never aliases
+// scratch memory.
 //
 // All query methods are safe for concurrent use (the index is immutable
 // after New) and the scalar queries perform no allocations. Vertex
@@ -32,7 +37,6 @@ package bctree
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/etour"
@@ -40,7 +44,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/prim"
 	"repro/internal/rmq"
-	"repro/internal/uf"
 )
 
 // Index answers connectivity queries over one graph's decomposition.
@@ -96,27 +99,13 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 	x := &Index{res: r, t: r.BlockCutTree()}
 	t := x.t
 
-	// ---- Block-cut forest: root, tour depths, LCA -----------------------
-	nodes := t.NumNodes()
-	forest := t.ForestEdges()
-	rt := etour.RootIn(e, nodes, forest, forestComp(e, nodes, forest), nil)
-	x.bcPar, x.bcFirst, x.bcLast = rt.Parent, rt.First, rt.Last
-	x.bcTourDepth = tourDepths(e, rt)
-	x.bcDepth = nodeDepths(e, nodes, rt.First, x.bcTourDepth)
-	x.bcLCA = rmq.NewMinIn(e, x.bcTourDepth)
-
-	// nodeOf: cut vertices map to their cut node; non-cut non-roots to the
-	// block of their label; non-cut roots to the single block they head
-	// (concurrent same-head writes only happen for cut heads, whose
-	// headBlock entry is never read — stored atomically to stay defined).
+	// ---- Block-cut forest: parents, tour, depths, LCA -------------------
+	// A block whose head is not a cut vertex (a spanning root heading only
+	// this block) and the cut node of a spanning root are the trees' roots.
+	// nodeOf: cut vertices map to their cut node, other non-roots to the
+	// block of their label, and a root that is not a cut vertex to the one
+	// block it heads (-1 when it heads none: an isolated vertex).
 	x.nodeOf = make([]int32, n)
-	headBlock := make([]int32, n)
-	parallel.FillIn(e, headBlock, -1)
-	e.For(r.NumLabels, func(l int) {
-		if h := r.Head[l]; h != -1 {
-			atomic.StoreInt32(&headBlock[h], t.BlockOf[l])
-		}
-	})
 	e.For(n, func(v int) {
 		switch {
 		case t.CutNode[v] != -1:
@@ -124,60 +113,62 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 		case r.Parent[v] != -1:
 			x.nodeOf[v] = t.BlockOf[r.Label[v]]
 		default:
-			x.nodeOf[v] = headBlock[v]
+			x.nodeOf[v] = -1
 		}
 	})
-
-	// ---- Bridge forest: 2ECC labels, root, tour depths, LCA --------------
-	x.ecc = r.TwoECCIn(e, g)
-	numEcc := int(prim.MaxInt32In(e, x.ecc, -1)) + 1
-	bridges := r.Bridges(g)
-	x.numBridges = len(bridges)
-	brEdges := make([]graph.Edge, len(bridges))
-	e.For(len(bridges), func(i int) {
-		b := bridges[i]
-		brEdges[i] = graph.Edge{U: x.ecc[b.U], W: x.ecc[b.W]}
+	x.bcPar = make([]int32, t.NumNodes())
+	e.For(r.NumLabels, func(l int) {
+		b := t.BlockOf[l]
+		if b == -1 {
+			return
+		}
+		h := r.Head[l]
+		x.bcPar[b] = t.CutNode[h]
+		if t.CutNode[h] == -1 {
+			x.nodeOf[h] = b
+		}
 	})
-	// Contracting each 2ECC to a node and keeping one edge per bridge
-	// yields a forest (a cycle through k >= 2 components would make each
-	// participating bridge non-bridging).
-	x.brComp = forestComp(e, numEcc, brEdges)
-	rt2 := etour.RootIn(e, numEcc, brEdges, x.brComp, nil)
-	x.brPar, x.brFirst = rt2.Parent, rt2.First
-	x.brTourDepth = tourDepths(e, rt2)
-	x.brDepth = nodeDepths(e, numEcc, rt2.First, x.brTourDepth)
-	x.brLCA = rmq.NewMinIn(e, x.brTourDepth)
+	e.For(len(t.Cuts), func(i int) {
+		x.bcPar[t.NumBlocks+i] = -1
+		if v := t.Cuts[i]; r.Parent[v] != -1 {
+			x.bcPar[t.NumBlocks+i] = t.BlockOf[r.Label[v]]
+		}
+	})
+	rt := etour.FromParentsIn(e, x.bcPar)
+	x.bcFirst, x.bcLast = rt.First, rt.Last
+	x.bcTourDepth = tourDepths(e, rt)
+	x.bcDepth = nodeDepths(e, rt.First, x.bcTourDepth)
+	x.bcLCA = rmq.NewMinIn(e, x.bcTourDepth)
+
+	// ---- Bridge forest: 2ECC labels, parents, tour, depths, LCA ---------
+	// Each 2ECC is a subtree of the spanning forest whose top vertex is a
+	// spanning root or the child end of a bridge, and contracting every
+	// 2ECC leaves one tree edge per bridge. So one pass over the vertices
+	// writes every node's parent and bridge once.
+	var bridge []bool
+	x.ecc, bridge = r.TwoECCBridgesIn(e, g)
+	numEcc := int(prim.MaxInt32In(e, x.ecc, -1)) + 1
+	x.brPar = make([]int32, numEcc)
 	x.brEdgeU = make([]int32, numEcc)
 	x.brEdgeW = make([]int32, numEcc)
-	parallel.FillIn(e, x.brEdgeU, -1)
-	parallel.FillIn(e, x.brEdgeW, -1)
-	e.For(len(bridges), func(i int) {
-		// Each bridge is one tree edge; distinct bridges have distinct
-		// child nodes, so the writes never collide.
-		b := bridges[i]
-		cu, cw := x.ecc[b.U], x.ecc[b.W]
-		if x.brPar[cu] == cw {
-			x.brEdgeU[cu], x.brEdgeW[cu] = b.U, b.W
-		} else {
-			x.brEdgeU[cw], x.brEdgeW[cw] = b.U, b.W
+	e.For(n, func(v int) {
+		p := r.Parent[v]
+		c := x.ecc[v]
+		switch {
+		case p == -1:
+			x.brPar[c], x.brEdgeU[c], x.brEdgeW[c] = -1, -1, -1
+		case bridge[v]:
+			x.brPar[c] = x.ecc[p]
+			x.brEdgeU[c], x.brEdgeW[c] = min(p, int32(v)), max(p, int32(v))
 		}
 	})
+	rt2 := etour.FromParentsIn(e, x.brPar)
+	x.numBridges = numEcc - rt2.NumTrees // one forest edge per bridge
+	x.brComp, x.brFirst = rt2.Root, rt2.First
+	x.brTourDepth = tourDepths(e, rt2)
+	x.brDepth = nodeDepths(e, rt2.First, x.brTourDepth)
+	x.brLCA = rmq.NewMinIn(e, x.brTourDepth)
 	return x
-}
-
-// forestComp returns, for each of the n nodes of the forest with the given
-// edges, the representative of its tree: the tree's largest node id, since
-// uf.UF roots every set at its largest member. etour.RootIn roots each tree
-// at its representative. The edge list is in hand, so one Union per edge
-// replaces a connectivity search.
-func forestComp(e *parallel.Exec, n int, edges []graph.Edge) []int32 {
-	parent := make([]int32, n)
-	e.Iota(parent, 0)
-	u := uf.Wrap(parent)
-	e.For(len(edges), func(i int) { u.Union(edges[i].U, edges[i].W) })
-	comp := make([]int32, n)
-	e.For(n, func(v int) { comp[v] = u.Find(int32(v)) })
-	return comp
 }
 
 // tourDepths turns an Euler tour into per-position depths: a first
@@ -205,9 +196,9 @@ func tourDelta(rt *etour.Rooted, i int) int32 {
 	return 1
 }
 
-func nodeDepths(e *parallel.Exec, nodes int, first, tourDepth []int32) []int32 {
-	d := make([]int32, nodes)
-	e.For(nodes, func(v int) { d[v] = tourDepth[first[v]] })
+func nodeDepths(e *parallel.Exec, first, tourDepth []int32) []int32 {
+	d := make([]int32, len(first))
+	e.For(len(first), func(v int) { d[v] = tourDepth[first[v]] })
 	return d
 }
 

@@ -1,15 +1,11 @@
 package bctree
 
 import (
-	"math/rand"
-	"slices"
 	"testing"
 
-	"repro/internal/conn"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 func build(t *testing.T, g *graph.Graph, seed uint64) *Index {
@@ -170,41 +166,6 @@ func TestScalarQueriesDoNotAllocate(t *testing.T) {
 	for name, f := range checks {
 		if avg := testing.AllocsPerRun(100, f); avg != 0 {
 			t.Errorf("%s allocates %.1f per query, want 0", name, avg)
-		}
-	}
-}
-
-// forestComp must pick the representatives conn.Connectivity picks, each
-// tree's largest node id: etour.RootIn roots every tree there, and the
-// index stores the rooted arrays.
-func TestForestCompMatchesConnectivity(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, p := range []int{1, 4} {
-		e := parallel.NewExec(p)
-		defer e.Close()
-		for trial := 0; trial < 40; trial++ {
-			// Random forests of up to 5000 nodes, so the parallel loops
-			// split into blocks; trials 0-2 are n = 0, n = 1, and no edges.
-			n, keep := rng.Intn(5000), rng.Float64()
-			switch trial {
-			case 0, 1:
-				n = trial
-			case 2:
-				keep = 0
-			}
-			perm := rng.Perm(n)
-			var edges []graph.Edge
-			for i := 1; i < n; i++ {
-				if rng.Float64() < keep {
-					// Join node perm[i] to an earlier node: no cycles.
-					edges = append(edges, graph.Edge{U: int32(perm[i]), W: int32(perm[rng.Intn(i)])})
-				}
-			}
-			g := graph.MustFromEdges(n, edges)
-			want := conn.Connectivity(g, conn.Options{Seed: uint64(trial), Exec: e}).Comp
-			if got := forestComp(e, n, edges); !slices.Equal(got, want) {
-				t.Fatalf("p=%d n=%d edges=%d: forestComp differs from conn.Connectivity", p, n, len(edges))
-			}
 		}
 	}
 }

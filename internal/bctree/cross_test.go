@@ -1,8 +1,10 @@
 package bctree
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -10,6 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
+	"repro/internal/seqbcc"
 )
 
 // naiveRef answers every Index query by brute force on the edge list:
@@ -219,9 +223,20 @@ func equalEdges(a, b []graph.Edge) bool {
 	return true
 }
 
+// oracle is what checkPair asks for the right answers: naiveRef, or
+// pathRef on graphs too large for it.
+type oracle interface {
+	connected(u, v int32) bool
+	separates(x, u, v int32) bool
+	cutsOnPath(u, v int32) []int32
+	biconnected(u, v int32) bool
+	twoEdgeConnected(u, v int32) bool
+	bridgesOnPath(u, v int32) []graph.Edge
+}
+
 // checkPair cross-checks every Index query for one vertex pair against
-// the naive reference.
-func checkPair(t *testing.T, x *Index, na *naiveRef, u, v int32, rng *rand.Rand) {
+// the reference.
+func checkPair(t *testing.T, x *Index, na oracle, u, v int32, rng *rand.Rand) {
 	t.Helper()
 	if got, want := x.Connected(u, v), na.connected(u, v); got != want {
 		t.Fatalf("Connected(%d,%d) = %v, want %v", u, v, got, want)
@@ -336,4 +351,255 @@ func TestConcurrentQueries(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
+}
+
+// pathRef answers naiveRef's path queries in O(n + m) per pair, for
+// graphs too large for one BFS per removed vertex or edge. Whatever
+// separates u from v lies on every u–v path, so on one BFS path
+// P = p0..pk; and p_i (or the edge p_i p_i+1) separates them iff nothing
+// jumps it: no other edge joins path vertices p_a, p_b, and no component
+// of G − P attaches at both p_a and p_b, with a < i < b (a <= i < b for
+// the edge, which a parallel copy also jumps). Answers are memoized per
+// pair, so checking several indexes over one graph pays once.
+type pathRef struct {
+	*naiveRef
+	memo map[[2]int32]pathAnswer
+}
+
+type pathAnswer struct {
+	connected bool
+	cuts      []int32
+	bridges   []graph.Edge
+}
+
+func newPathRef(n int, edges []graph.Edge) *pathRef {
+	return &pathRef{newNaive(n, edges), map[[2]int32]pathAnswer{}}
+}
+
+func (pr *pathRef) connected(u, v int32) bool { return pr.answer(u, v).connected }
+
+func (pr *pathRef) cutsOnPath(u, v int32) []int32 { return pr.answer(u, v).cuts }
+
+func (pr *pathRef) bridgesOnPath(u, v int32) []graph.Edge { return pr.answer(u, v).bridges }
+
+func (pr *pathRef) biconnected(u, v int32) bool {
+	a := pr.answer(u, v)
+	return u != v && a.connected && len(a.cuts) == 0
+}
+
+func (pr *pathRef) twoEdgeConnected(u, v int32) bool {
+	a := pr.answer(u, v)
+	return a.connected && len(a.bridges) == 0
+}
+
+// answer returns the pair's connectivity, its separating vertices
+// (sorted) and its separating edges (U < W, sorted).
+func (pr *pathRef) answer(u, v int32) pathAnswer {
+	if a, ok := pr.memo[[2]int32{u, v}]; ok {
+		return a
+	}
+	a := pathAnswer{connected: u == v}
+	if path := pr.bfsPath(u, v); u != v && path != nil {
+		a = pathAnswer{connected: true}
+		a.cuts, a.bridges = pr.sweep(path)
+	}
+	pr.memo[[2]int32{u, v}] = a
+	return a
+}
+
+// sweep finds what jumps each interior vertex and each edge of path.
+func (pr *pathRef) sweep(path []int32) ([]int32, []graph.Edge) {
+	var cuts []int32
+	var bridges []graph.Edge
+	k := len(path) - 1
+	idx := make([]int, pr.n) // path index + 1, 0 off the path
+	for i, w := range path {
+		idx[w] = i + 1
+	}
+	// Difference arrays over the path's interior vertices and its edges.
+	vJump := make([]int, k+2)
+	eJump := make([]int, k+2)
+	mult := make([]int, k)
+	jump := func(a, b int) {
+		if b > a+1 {
+			vJump[a+1]++
+			vJump[b]--
+		}
+		eJump[a]++
+		eJump[b]--
+	}
+	for _, e := range pr.edges {
+		a, b := idx[e.U]-1, idx[e.W]-1
+		if a < 0 || b < 0 || a == b {
+			continue
+		}
+		a, b = min(a, b), max(a, b)
+		if b == a+1 {
+			mult[a]++
+		} else {
+			jump(a, b)
+		}
+	}
+	// Components of G − P, each with the lowest and highest path index it
+	// attaches to.
+	seen := make([]bool, pr.n)
+	var stack []int32
+	for s := int32(0); s < int32(pr.n); s++ {
+		if seen[s] || idx[s] != 0 {
+			continue
+		}
+		lo, hi := k+1, -1
+		seen[s] = true
+		stack = append(stack[:0], s)
+		for len(stack) > 0 {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, a := range pr.adj[w] {
+				if i := idx[a.to] - 1; i >= 0 {
+					lo, hi = min(lo, i), max(hi, i)
+				} else if !seen[a.to] {
+					seen[a.to] = true
+					stack = append(stack, a.to)
+				}
+			}
+		}
+		if lo < hi {
+			jump(lo, hi)
+		}
+	}
+	vc, ec := 0, 0
+	for i := 0; i < k; i++ {
+		vc += vJump[i]
+		ec += eJump[i]
+		if i > 0 && vc == 0 {
+			cuts = append(cuts, path[i])
+		}
+		if mult[i] == 1 && ec == 0 {
+			bridges = append(bridges, graph.Edge{U: min(path[i], path[i+1]), W: max(path[i], path[i+1])})
+		}
+	}
+	slices.Sort(cuts)
+	slices.SortFunc(bridges, func(a, b graph.Edge) int {
+		if a.U != b.U {
+			return cmp.Compare(a.U, b.U)
+		}
+		return cmp.Compare(a.W, b.W)
+	})
+	return cuts, bridges
+}
+
+// bfsPath returns a shortest u–v path, u first, or nil when v is
+// unreachable.
+func (pr *pathRef) bfsPath(u, v int32) []int32 {
+	from := make([]int32, pr.n)
+	for i := range from {
+		from[i] = -1
+	}
+	from[u] = u
+	queue := []int32{u}
+	for qi := 0; qi < len(queue) && from[v] == -1; qi++ {
+		w := queue[qi]
+		for _, a := range pr.adj[w] {
+			if from[a.to] == -1 {
+				from[a.to] = w
+				queue = append(queue, a.to)
+			}
+		}
+	}
+	if from[v] == -1 {
+		return nil
+	}
+	path := []int32{v}
+	for w := v; w != u; w = from[w] {
+		path = append(path, from[w])
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// TestPathRefMatchesNaive pins pathRef to the brute-force reference on
+// TestCrossRandom's inputs, every pair.
+func TestPathRefMatchesNaive(t *testing.T) {
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial) * 104729))
+		n, edges := randomInstance(rng, trial)
+		na := newNaive(n, edges)
+		pr := newPathRef(n, edges)
+		for u := int32(0); u < int32(n); u++ {
+			for v := int32(0); v < int32(n); v++ {
+				if got, want := pr.connected(u, v), na.connected(u, v); got != want {
+					t.Fatalf("trial %d: connected(%d,%d) = %v, naive %v", trial, u, v, got, want)
+				}
+				if got, want := pr.cutsOnPath(u, v), na.cutsOnPath(u, v); !slices.Equal(got, want) {
+					t.Fatalf("trial %d: cutsOnPath(%d,%d) = %v, naive %v", trial, u, v, got, want)
+				}
+				if got, want := pr.bridgesOnPath(u, v), na.bridgesOnPath(u, v); !slices.Equal(got, want) {
+					t.Fatalf("trial %d: bridgesOnPath(%d,%d) = %v, naive %v", trial, u, v, got, want)
+				}
+				if got, want := pr.biconnected(u, v), na.biconnected(u, v); got != want {
+					t.Fatalf("trial %d: biconnected(%d,%d) = %v, naive %v", trial, u, v, got, want)
+				}
+				if got, want := pr.twoEdgeConnected(u, v), na.twoEdgeConnected(u, v); got != want {
+					t.Fatalf("trial %d: twoEdgeConnected(%d,%d) = %v, naive %v", trial, u, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCrossParallel checks the index built on 1, 2 and 4 workers over
+// inputs of at least 5,000 vertices, where NewIn's loops split into blocks
+// and the tours are ranked from many samples: at least 100 pairs per
+// input against pathRef, and the aggregate counts against Hopcroft–Tarjan.
+// TestCrossRandom's inputs stay below parallel.DefaultGrain, so every
+// loop there runs inline.
+func TestCrossParallel(t *testing.T) {
+	doubled := make([]graph.Edge, 0, 9000)
+	for v := int32(0); v+1 < 6000; v++ {
+		doubled = append(doubled, graph.Edge{U: v, W: v + 1})
+		if v%3 != 0 {
+			doubled = append(doubled, graph.Edge{U: v, W: v + 1})
+		}
+	}
+	inputs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"sampled-grid", gen.SampledGrid(90, 90, 0.4, 3)}, // thousands of trees, ~13% isolated
+		{"rmat", gen.RMAT(13, 8, 5)},
+		{"path", gen.Chain(20000)},
+		{"star", gen.Star(8000)},
+		{"doubled-path", graph.MustFromEdges(6000, doubled)},
+	}
+	for _, in := range inputs {
+		g, n := in.g, int32(in.g.NumVertices())
+		ht := seqbcc.BCC(g)
+		ref := newPathRef(int(n), g.Edges())
+		for _, p := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/p=%d", in.name, p), func(t *testing.T) {
+				e := parallel.NewExec(p)
+				defer e.Close()
+				x := NewIn(e, g, core.BCC(g, core.Options{Seed: 11, Exec: e}))
+				if x.NumBlocks() != ht.NumBCC() || x.NumCutVertices() != len(ht.ArticulationPoints()) ||
+					x.NumBridges() != len(ht.Bridges()) {
+					t.Fatalf("blocks/cuts/bridges = %d/%d/%d, Hopcroft–Tarjan %d/%d/%d",
+						x.NumBlocks(), x.NumCutVertices(), x.NumBridges(),
+						ht.NumBCC(), len(ht.ArticulationPoints()), len(ht.Bridges()))
+				}
+				// Half the pairs are uniform; the other half end a random
+				// walk from u, so sparse inputs see connected pairs too.
+				rng := rand.New(rand.NewSource(int64(n)))
+				for i := 0; i < 120; i++ {
+					u, v := int32(rng.Intn(int(n))), int32(rng.Intn(int(n)))
+					if i%2 == 1 {
+						v = u
+						for steps := rng.Intn(400); steps > 0 && len(ref.adj[v]) > 0; steps-- {
+							v = ref.adj[v][rng.Intn(len(ref.adj[v]))].to
+						}
+					}
+					checkPair(t, x, ref, u, v, rng)
+				}
+			})
+		}
+	}
 }

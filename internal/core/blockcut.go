@@ -16,8 +16,7 @@ import (
 // The tree is stored flat: block nodes get ids 0..NumBlocks-1 (in dense
 // label order), cut nodes follow, and adjacency is one CSR over all nodes.
 // Every array is dense int32 — no maps — so construction is a handful of
-// parallel passes and the Euler-tour machinery can root the tree straight
-// from ForestEdges.
+// parallel passes.
 type BlockCutTree struct {
 	// NumBlocks is the number of block nodes (ids 0..NumBlocks-1).
 	NumBlocks int
@@ -48,19 +47,6 @@ func (t *BlockCutTree) Neighbors(x int32) []int32 {
 // Degree returns the number of tree neighbors of node x.
 func (t *BlockCutTree) Degree(x int32) int {
 	return int(t.Offsets[x+1] - t.Offsets[x])
-}
-
-// ForestEdges returns the tree edges, each once with U < W. Block ids
-// precede cut ids and every edge joins a block to a cut, so U is always
-// the block-side endpoint.
-func (t *BlockCutTree) ForestEdges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(t.Adj)/2)
-	for x := 0; x < t.NumBlocks; x++ {
-		for _, w := range t.Neighbors(int32(x)) {
-			out = append(out, graph.Edge{U: int32(x), W: w})
-		}
-	}
-	return out
 }
 
 // BlockCutTree derives the block-cut tree from the decomposition. The

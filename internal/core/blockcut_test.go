@@ -131,15 +131,12 @@ func TestBlockCutTreeDenseFieldsAndCaching(t *testing.T) {
 			t.Fatalf("CutNode[%d] = %d, want %d", v, bct.CutNode[v], want[v])
 		}
 	}
-	// Every edge joins a block node and a cut node, and ForestEdges
-	// enumerates each exactly once with the block first.
-	fe := bct.ForestEdges()
-	if 2*len(fe) != len(bct.Adj) {
-		t.Fatalf("ForestEdges %d edges, CSR has %d arcs", len(fe), len(bct.Adj))
-	}
-	for _, e := range fe {
-		if int(e.U) >= bct.NumBlocks || int(e.W) < bct.NumBlocks {
-			t.Fatalf("edge (%d,%d) does not join a block to a cut", e.U, e.W)
+	// Every edge joins a block node and a cut node.
+	for x := 0; x < bct.NumNodes(); x++ {
+		for _, w := range bct.Neighbors(int32(x)) {
+			if (x < bct.NumBlocks) == (int(w) < bct.NumBlocks) {
+				t.Fatalf("edge (%d,%d) does not join a block to a cut", x, w)
+			}
 		}
 	}
 	// A caller-assembled Result (no caches) still answers, fresh per call.

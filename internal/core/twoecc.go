@@ -27,16 +27,30 @@ func (r *Result) TwoECC(g *graph.Graph) []int32 { return r.TwoECCIn(nil, g) }
 // TwoECCIn is TwoECC running on the execution context e (nil = the
 // process-global default).
 func (r *Result) TwoECCIn(e *parallel.Exec, g *graph.Graph) []int32 {
+	label, _ := r.TwoECCBridgesIn(e, g)
+	return label
+}
+
+// TwoECCBridgesIn is TwoECCIn that also returns the bridge test it runs on
+// every tree edge: bridge[v] reports whether (Parent[v], v) is a bridge.
+// Every bridge is such an edge, so the flags list them all.
+func (r *Result) TwoECCBridgesIn(e *parallel.Exec, g *graph.Graph) (label []int32, bridge []bool) {
 	n := len(r.Parent)
 	count := r.LabelSizes()
 	parent := make([]int32, n)
 	e.Iota(parent, 0)
 	u := uf.Wrap(parent)
+	bridge = make([]bool, n)
 	// Walked from the top id down, like every union pass over
 	// forest-parent edges (see uf.UF.Union).
 	e.For(n, func(i int) {
 		v := n - 1 - i
-		if p := r.Parent[v]; p != -1 && !r.isTreeBridge(g, count, int32(v)) {
+		p := r.Parent[v]
+		switch {
+		case p == -1:
+		case r.isTreeBridge(g, count, int32(v)):
+			bridge[v] = true
+		default:
 			u.Union(int32(v), p)
 		}
 	})
@@ -49,7 +63,7 @@ func (r *Result) TwoECCIn(e *parallel.Exec, g *graph.Graph) []int32 {
 		}
 	})
 	prim.ExclusiveScanInt32In(e, rank)
-	label := make([]int32, n)
+	label = make([]int32, n)
 	e.For(n, func(v int) { label[v] = rank[u.Find(int32(v))] })
-	return label
+	return label, bridge
 }
