@@ -29,13 +29,14 @@ func guardGraph(tb testing.TB) *fastbcc.Graph {
 
 func TestAllocGuardBCCScratch(t *testing.T) {
 	g := guardGraph(t)
-	sc := fastbcc.NewScratch()
-	opts := &fastbcc.Options{Seed: 7, Scratch: sc}
-	fastbcc.BCC(g, opts) // warm the arena
-	fastbcc.BCC(g, opts)
-	avg := testing.AllocsPerRun(5, func() { fastbcc.BCC(g, opts) })
+	r := fastbcc.NewRunner(0)
+	defer r.Close()
+	opts := &fastbcc.Options{Seed: 7}
+	r.Run(g, opts) // warm the Runner's pooled arena
+	r.Run(g, opts)
+	avg := testing.AllocsPerRun(5, func() { r.Run(g, opts) })
 	if avg > 400 {
-		t.Fatalf("scratch-backed BCC: %.1f allocs/op, want <= 400", avg)
+		t.Fatalf("scratch-backed Runner.Run: %.1f allocs/op, want <= 400", avg)
 	}
 }
 

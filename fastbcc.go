@@ -49,19 +49,17 @@
 // beyond the algorithm's own work. Parallel loops run on a lazily-started
 // persistent worker pool (no goroutine spawn per loop), CSR construction
 // is atomic-free (per-worker degree counting, prefix-sum merged scatter
-// ranges, and an allocation-free radix/insertion hybrid for neighbor
-// lists), and a single FAST-BCC run's ~16n int32 of auxiliary buffers can
-// be recycled across runs through a Scratch arena:
+// ranges, and one stable transpose that leaves every neighbor list
+// sorted), and a FAST-BCC run draws its ~16n int32 of auxiliary buffers
+// from an arena. A plain BCC call recycles them within the run; a Runner
+// (see Serving) also recycles them across runs:
 //
-//	sc := fastbcc.NewScratch()
+//	r := fastbcc.NewRunner(0)
+//	defer r.Close()
 //	for _, g := range graphs {
-//		res := fastbcc.BCC(g, &fastbcc.Options{Scratch: sc})
-//		... // res never aliases arena memory; safe to retain
+//		res := r.Run(g, nil)
+//		... // res never aliases pooled memory; safe to retain
 //	}
-//
-// Repeated BCC calls with a shared Scratch (the serving pattern) cut
-// allocated bytes per run by roughly 3× on power-law inputs; pass the same
-// arena to NewGraphFromEdgesScratch to recycle construction buffers too.
 //
 // # Serving
 //
@@ -137,14 +135,6 @@ type Result = core.Result
 // SeqResult is the explicit block decomposition produced by BCCSeq.
 type SeqResult = seqbcc.Result
 
-// Scratch is a reusable arena for the pipeline's auxiliary buffers; see
-// the package-level Performance section. Safe for concurrent use.
-type Scratch = graph.Scratch
-
-// NewScratch returns an empty arena for Options.Scratch and
-// NewGraphFromEdgesScratch.
-func NewScratch() *Scratch { return graph.NewScratch() }
-
 // Options tunes the decomposition run. The zero value is a sensible
 // default (the FAST-BCC engine on the default execution context).
 type Options struct {
@@ -165,8 +155,6 @@ type Options struct {
 	// concurrent calls with different Threads values are safe and
 	// isolated. See the package-level Serving section.
 	Threads int
-	// Scratch, when non-nil, recycles auxiliary buffers across BCC calls.
-	Scratch *Scratch
 	// Source is the root vertex for engines that grow a tree from a seed
 	// vertex (the SM'14 baseline's BFS root); the default engine ignores
 	// it.
@@ -226,15 +214,16 @@ func resolveAlgorithm(name string) (string, error) {
 }
 
 // runEngine dispatches one decomposition to the selected engine. exec
-// overrides the Threads-derived context when non-nil (the Runner path).
-func runEngine(g *Graph, o Options, exec *parallel.Exec) (*Result, error) {
+// overrides the Threads-derived context when non-nil, and sc supplies the
+// auxiliary buffers when non-nil (the Runner path passes both).
+func runEngine(g *Graph, o Options, exec *parallel.Exec, sc *graph.Scratch) (*Result, error) {
 	a, err := engine.Get(o.Algorithm)
 	if err != nil {
 		return nil, fmt.Errorf("fastbcc: %w", err)
 	}
 	opt := engine.RunOptions{
 		Exec:        exec,
-		Scratch:     o.Scratch,
+		Scratch:     sc,
 		Source:      o.Source,
 		Seed:        o.Seed,
 		LocalSearch: o.LocalSearch,
@@ -254,12 +243,6 @@ func runEngine(g *Graph, o Options, exec *parallel.Exec) (*Result, error) {
 // block decomposition.
 func NewGraphFromEdges(n int, edges []Edge) (*Graph, error) {
 	return graph.FromEdges(n, edges)
-}
-
-// NewGraphFromEdgesScratch is NewGraphFromEdges drawing its construction
-// temporaries from sc.
-func NewGraphFromEdgesScratch(n int, edges []Edge, sc *Scratch) (*Graph, error) {
-	return graph.FromEdgesScratch(n, edges, sc)
 }
 
 // LoadGraph reads a graph from a binary file written by SaveGraph.
@@ -294,9 +277,9 @@ func BCC(g *Graph, opts *Options) *Result {
 		if o.Threads > 0 {
 			ex = parallel.Limit(o.Threads)
 		}
-		return core.BCC(g, core.Options{Seed: o.Seed, LocalSearch: o.LocalSearch, Scratch: o.Scratch, Exec: ex})
+		return core.BCC(g, core.Options{Seed: o.Seed, LocalSearch: o.LocalSearch, Exec: ex})
 	}
-	res, err := runEngine(g, o, nil)
+	res, err := runEngine(g, o, nil, nil)
 	if err != nil {
 		panic(err)
 	}

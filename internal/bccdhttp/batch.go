@@ -65,12 +65,13 @@ type jsonBatchResponse struct {
 	Answers []fastbcc.Answer `json:"answers"`
 }
 
-// wantsBinary decides the response encoding: an explicit Accept for
-// either type wins, otherwise the response mirrors the request.
-func wantsBinary(r *http.Request, binaryReq bool) bool {
+// wantsBinary decides the response encoding of an endpoint whose binary
+// codec is contentType: an explicit Accept for either type wins,
+// otherwise the response mirrors the request.
+func wantsBinary(r *http.Request, binaryReq bool, contentType string) bool {
 	accept := r.Header.Get("Accept")
 	switch {
-	case strings.Contains(accept, wire.ContentType):
+	case strings.Contains(accept, contentType):
 		return true
 	case strings.Contains(accept, "application/json"):
 		return false
@@ -99,9 +100,9 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		respStart = rec.bytes
 	}
 	defer func() {
-		s.metrics.reqBytes[reqCodec].Add(body.n)
+		s.metrics.reqBytes["batch"][reqCodec].Add(body.n)
 		if rec != nil {
-			s.metrics.resBytes[respCodec].Add(rec.bytes - respStart)
+			s.metrics.resBytes["batch"][respCodec].Add(rec.bytes - respStart)
 		}
 	}()
 	if binaryReq {
@@ -187,7 +188,7 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if wantsBinary(r, binaryReq) {
+	if wantsBinary(r, binaryReq, wire.ContentType) {
 		respCodec = "binary"
 		sc.buf = wire.AppendResponse(sc.buf[:0], snap.Version, sc.as)
 		w.Header().Set("Content-Type", wire.ContentType)

@@ -184,18 +184,18 @@ func TestMetricsExactCounts(t *testing.T) {
 	}
 
 	// Byte counters move with the codec actually used.
-	if got[`bccd_http_request_bytes_total{codec="json"}`] <= 0 {
+	if got[`bccd_http_request_bytes_total{endpoint="batch",codec="json"}`] <= 0 {
 		t.Error("json request bytes not counted")
 	}
-	if got[`bccd_http_request_bytes_total{codec="binary"}`] != float64(len(frame)) {
+	if got[`bccd_http_request_bytes_total{endpoint="batch",codec="binary"}`] != float64(len(frame)) {
 		t.Errorf("binary request bytes = %v, want %d",
-			got[`bccd_http_request_bytes_total{codec="binary"}`], len(frame))
+			got[`bccd_http_request_bytes_total{endpoint="batch",codec="binary"}`], len(frame))
 	}
-	if got[`bccd_http_response_bytes_total{codec="json"}`] <= 0 {
+	if got[`bccd_http_response_bytes_total{endpoint="batch",codec="json"}`] <= 0 {
 		t.Error("json response bytes not counted")
 	}
 	// Binary response: 16-byte header + 4 bytes per answer.
-	if got[`bccd_http_response_bytes_total{codec="binary"}`] <= 0 {
+	if got[`bccd_http_response_bytes_total{endpoint="batch",codec="binary"}`] <= 0 {
 		t.Error("binary response bytes not counted")
 	}
 

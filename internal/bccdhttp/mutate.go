@@ -51,20 +51,6 @@ type jsonMutationResponse struct {
 	DeltaAgeMS float64 `json:"delta_age_ms"`
 }
 
-// wantsBinaryMutation is wantsBinary for the mutation codec: an explicit
-// Accept for either type wins, otherwise the response mirrors the
-// request.
-func wantsBinaryMutation(r *http.Request, binaryReq bool) bool {
-	accept := r.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, wire.MutationContentType):
-		return true
-	case strings.Contains(accept, "application/json"):
-		return false
-	}
-	return binaryReq
-}
-
 // writeMutationError maps a failed ApplyBatch onto its HTTP status:
 // 404 for a graph never loaded or removed, 503 for a closing store,
 // 504/499 for a deadline or departed client while waiting on the
@@ -103,9 +89,9 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		respStart = rec.bytes
 	}
 	defer func() {
-		s.metrics.reqBytes[reqCodec].Add(body.n)
+		s.metrics.reqBytes["mutate"][reqCodec].Add(body.n)
 		if rec != nil {
-			s.metrics.resBytes[respCodec].Add(rec.bytes - respStart)
+			s.metrics.resBytes["mutate"][respCodec].Add(rec.bytes - respStart)
 		}
 	}()
 
@@ -171,7 +157,7 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		"fast", res.Fast, "collapsed", res.Collapsed, "queued", res.Queued,
 		"pending", res.Pending)
 
-	if wantsBinaryMutation(r, binaryReq) {
+	if wantsBinary(r, binaryReq, wire.MutationContentType) {
 		respCodec = "binary"
 		sc.buf = wire.AppendMutationResult(sc.buf[:0], res)
 		w.Header().Set("Content-Type", wire.MutationContentType)

@@ -177,6 +177,7 @@ func TestMutationMetricsExactCounts(t *testing.T) {
 
 	// 2 fast (parallel edges in the triangle), 1 collapse (0-4 merges
 	// triangle, bridge, and square), 2 rebuild-class deletions.
+	reqBytes := 0
 	for _, m := range []struct {
 		body, class string
 		n           float64
@@ -189,6 +190,7 @@ func TestMutationMetricsExactCounts(t *testing.T) {
 		if code != http.StatusOK || body[m.class] != m.n {
 			t.Fatalf("mutation %s: %d %v", m.body, code, body)
 		}
+		reqBytes += len(m.body)
 	}
 
 	got := scrape(t, srv.URL)
@@ -201,6 +203,14 @@ func TestMutationMetricsExactCounts(t *testing.T) {
 		`fastbcc_graph_pending_deltas{graph="demo"}`:                  2,
 		`bccd_http_responses_total{endpoint="mutate",code="2xx"}`:     3,
 		`bccd_http_request_duration_seconds_count{endpoint="mutate"}`: 3,
+		// Mutation bodies count under their own endpoint, never the
+		// batch endpoint's.
+		`bccd_http_request_bytes_total{endpoint="mutate",codec="json"}`:   float64(reqBytes),
+		`bccd_http_request_bytes_total{endpoint="mutate",codec="binary"}`: 0,
+		`bccd_http_request_bytes_total{endpoint="batch",codec="json"}`:    0,
+		`bccd_http_request_bytes_total{endpoint="batch",codec="binary"}`:  0,
+		`bccd_http_response_bytes_total{endpoint="batch",codec="json"}`:   0,
+		`bccd_http_response_bytes_total{endpoint="batch",codec="binary"}`: 0,
 	}
 	for series, v := range pending {
 		if g, ok := got[series]; !ok || g != v {

@@ -18,8 +18,13 @@ var endpoints = [...]string{
 	"query", "batch", "mutate", "trace",
 }
 
-// codecs label the batch endpoint's byte counters.
-var codecs = [...]string{"json", "binary"}
+// bodyEndpoints are the endpoints with a negotiated codec, and codecs
+// the codecs; together they label the request and response byte
+// counters.
+var (
+	bodyEndpoints = [...]string{"batch", "mutate"}
+	codecs        = [...]string{"json", "binary"}
+)
 
 // statusClasses label response counters by status family; index is
 // status/100 - 2 (the handlers never write 1xx).
@@ -34,8 +39,8 @@ type httpMetrics struct {
 	reqDur   map[string]*obs.Histogram                   // by endpoint
 	resp     map[string][len(statusClasses)]*obs.Counter // by endpoint, status class
 	queryDur map[string]*obs.Histogram                   // scalar endpoint, by op
-	reqBytes map[string]*obs.Counter                     // batch endpoint, by codec
-	resBytes map[string]*obs.Counter                     // batch endpoint, by codec
+	reqBytes map[string]map[string]*obs.Counter          // by body endpoint, codec
+	resBytes map[string]map[string]*obs.Counter          // by body endpoint, codec
 	slow     *obs.Counter
 }
 
@@ -46,8 +51,8 @@ func newHTTPMetrics() *httpMetrics {
 		reqDur:   make(map[string]*obs.Histogram, len(endpoints)),
 		resp:     make(map[string][len(statusClasses)]*obs.Counter, len(endpoints)),
 		queryDur: make(map[string]*obs.Histogram, 6),
-		reqBytes: make(map[string]*obs.Counter, len(codecs)),
-		resBytes: make(map[string]*obs.Counter, len(codecs)),
+		reqBytes: make(map[string]map[string]*obs.Counter, len(bodyEndpoints)),
+		resBytes: make(map[string]map[string]*obs.Counter, len(bodyEndpoints)),
 	}
 	m.inFlight = reg.Gauge("bccd_http_in_flight_requests",
 		"Requests currently being handled.")
@@ -65,11 +70,17 @@ func newHTTPMetrics() *httpMetrics {
 		m.queryDur[op.String()] = reg.Histogram("bccd_http_query_duration_seconds",
 			"Scalar query endpoint latency by op.", "op", op.String())
 	}
-	for _, c := range codecs {
-		m.reqBytes[c] = reg.Counter("bccd_http_request_bytes_total",
-			"Batch request body bytes read, by codec.", "codec", c)
-		m.resBytes[c] = reg.Counter("bccd_http_response_bytes_total",
-			"Batch response body bytes written, by codec.", "codec", c)
+	for _, ep := range bodyEndpoints {
+		m.reqBytes[ep] = make(map[string]*obs.Counter, len(codecs))
+		m.resBytes[ep] = make(map[string]*obs.Counter, len(codecs))
+		for _, c := range codecs {
+			m.reqBytes[ep][c] = reg.Counter("bccd_http_request_bytes_total",
+				"Request body bytes read by the batch and mutation endpoints, by codec.",
+				"endpoint", ep, "codec", c)
+			m.resBytes[ep][c] = reg.Counter("bccd_http_response_bytes_total",
+				"Response body bytes written by the batch and mutation endpoints, by codec.",
+				"endpoint", ep, "codec", c)
+		}
 	}
 	m.slow = reg.Counter("bccd_http_slow_queries_total",
 		"Batch requests that exceeded the slow-query threshold.")
@@ -128,7 +139,8 @@ func (s *server) handle(pattern, endpoint string, h http.HandlerFunc) {
 }
 
 // countingReader counts the bytes a request-body decoder actually
-// consumed — the batch endpoint's per-codec ingress accounting.
+// consumed — the batch and mutation endpoints' per-codec ingress
+// accounting.
 type countingReader struct {
 	r io.Reader
 	n int64

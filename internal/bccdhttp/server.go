@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -465,8 +466,8 @@ type queryResponse struct {
 
 var errMissingParam = errors.New("missing parameter")
 
-func vertexParam(r *http.Request, key string, n int) (int32, error) {
-	raw := r.URL.Query().Get(key)
+func vertexParam(q url.Values, key string, n int) (int32, error) {
+	raw := q.Get(key)
 	if raw == "" {
 		return 0, fmt.Errorf("%w %q", errMissingParam, key)
 	}
@@ -492,18 +493,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	idx := snap.Index
 	n := snap.Graph.NumVertices()
 
-	u, err := vertexParam(r, "u", n)
+	q := r.URL.Query()
+	u, err := vertexParam(q, "u", n)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	v, err := vertexParam(r, "v", n)
+	v, err := vertexParam(q, "v", n)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	resp := queryResponse{Graph: snap.Name, Version: snap.Version, Op: op, U: u, V: v}
-	list := r.URL.Query().Get("list") != ""
+	list := q.Get("list") != ""
 	setBool := func(b bool) { resp.Result = &b }
 	setCount := func(c int) { resp.Count = &c }
 
@@ -515,7 +517,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case "twoecc":
 		setBool(idx.TwoEdgeConnected(u, v))
 	case "separates":
-		x, err := vertexParam(r, "x", n)
+		x, err := vertexParam(q, "x", n)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "%v", err)
 			return

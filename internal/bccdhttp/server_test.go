@@ -306,3 +306,43 @@ func TestServerRestartKeepsLoadedIDs(t *testing.T) {
 		}
 	}
 }
+
+// discardWriter is a ResponseWriter that keeps only the status, so an
+// allocation count covers the handler alone.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+
+// TestAllocGuardScalarSeparates bounds the allocations of one scalar
+// separates request through the in-process handler. The handler parses
+// the query string once, and a request then takes 12 allocations at
+// GOMAXPROCS 1-4; the bound is that plus 10%. Parsing it again for each
+// of u, v, x and list takes 27 and cannot pass.
+func TestAllocGuardScalarSeparates(t *testing.T) {
+	store := fastbcc.NewStore(2)
+	defer store.Close()
+	snap, err := store.Load(context.Background(), "guard", fastbcc.GenerateRMAT(12, 8, 0xBC), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	h := NewHandler(store, Config{})
+	req := httptest.NewRequest(http.MethodGet, "/v1/graphs/guard/query/separates?x=2&u=0&v=4", nil)
+	w := &discardWriter{h: make(http.Header)}
+	avg := testing.AllocsPerRun(200, func() {
+		w.code = 0
+		h.ServeHTTP(w, req)
+	})
+	if w.code != http.StatusOK {
+		t.Fatalf("separates request: status %d", w.code)
+	}
+	t.Logf("scalar separates: %.1f allocs/request", avg)
+	if avg > 13 {
+		t.Fatalf("scalar separates: %.1f allocs/request, want <= 13", avg)
+	}
+}

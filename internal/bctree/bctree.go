@@ -226,9 +226,6 @@ func (x *Index) NumTwoECC() int { return len(x.brPar) }
 // IsCutVertex reports whether v is an articulation point, in O(1).
 func (x *Index) IsCutVertex(v int32) bool { return x.t.CutNode[v] != -1 }
 
-// TwoECCLabel returns v's dense 2-edge-connected-component label.
-func (x *Index) TwoECCLabel(v int32) int32 { return x.ecc[v] }
-
 // Connected reports whether u and v are in the same connected component,
 // in O(1): the bridge forest contracts every 2ECC, so two vertices are
 // connected iff their 2ECC nodes share a bridge tree.

@@ -1,48 +1,21 @@
 package conn
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// Ablation benches for the connectivity design choices DESIGN.md calls out:
-// the algorithm (LDD-UF-JTB vs plain UF-Async), the LDD rate β, and the
-// local-search optimization. The paper notes (Sec. 5) that no CC algorithm
-// wins everywhere and the choice is input-dependent; these benches make the
-// trade-off measurable per graph category.
+// Ablation benches for the connectivity choices FAST-BCC exposes: the
+// local-search optimization the paper ablates in Fig. 6, and the cost of
+// harvesting the spanning forest, each per graph category.
 
 func ablationGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"rmat":  gen.RMAT(14, 8, 1),
 		"grid":  gen.Grid2D(160, 160, true),
 		"chain": gen.Chain(100000),
-	}
-}
-
-func BenchmarkConnAlgorithm(b *testing.B) {
-	for name, g := range ablationGraphs() {
-		for algName, alg := range map[string]Algorithm{"LDDUFJTB": LDDUFJTB, "UFAsync": UFAsync} {
-			b.Run(name+"/"+algName, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					Connectivity(g, Options{Algorithm: alg, Seed: 7})
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkConnBeta(b *testing.B) {
-	for name, g := range ablationGraphs() {
-		for _, beta := range []float64{0.05, 0.1, 0.2, 0.4, 0.8} {
-			b.Run(fmt.Sprintf("%s/beta=%.2f", name, beta), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					Connectivity(g, Options{Beta: beta, Seed: 7})
-				}
-			})
-		}
 	}
 }
 

@@ -1,21 +1,17 @@
-// Package conn implements parallel graph connectivity.
-//
-// The primary algorithm is LDD-UF-JTB (Thm. 5.1 of the paper): a low-
-// diameter decomposition shrinks the graph into clusters, then a
-// concurrent union-find (Jayanti–Tarjan–Boix-Adserà style) unions the cut
-// edges. The paper's O(n+m) expected work rests on MPX's O(βm) cut edges,
-// which internal/ldd's start order does not give: it cuts 85.6% of
-// RMAT-16-8's edges and 41.0% of the 360×360 sampled grid's (see the ldd
-// package doc), so most of the work lands in the union-find, which stays
-// correct. FAST-BCC runs it once, on the input graph (First-CC),
-// producing a spanning forest as a by-product; Last-CC streams the skeleton
-// arcs into a union-find of its own. The edge Filter restricts a run to a
-// subgraph without materializing it: the GBBS-style baseline
-// (internal/bfsbcc) runs on its implicit skeleton that way.
-//
-// A plain union-find algorithm (UFAsync, the variant GBBS uses) is provided
-// for baselines, and both support the hash-bag/local-search optimization
-// toggle the paper ablates in Fig. 6.
+// Package conn implements parallel graph connectivity with LDD-UF-JTB
+// (Thm. 5.1 of the paper): a low-diameter decomposition shrinks the graph
+// into clusters, then a concurrent union-find (Jayanti–Tarjan–Boix-Adserà
+// style) unions the cut edges. The paper's O(n+m) expected work rests on
+// MPX's O(βm) cut edges, which internal/ldd's start order does not give: it
+// cuts 85.6% of RMAT-16-8's edges and 41.0% of the 360×360 sampled grid's
+// (see the ldd package doc), so most of the work lands in the union-find,
+// which stays correct. FAST-BCC runs it once, on the input graph
+// (First-CC), producing a spanning forest as a by-product; Last-CC streams
+// the skeleton arcs into a union-find of its own. The edge Filter restricts
+// a run to a subgraph without materializing it: the GBBS-style baseline
+// (internal/bfsbcc) runs on its implicit skeleton that way. The
+// hash-bag/local-search LDD optimization the paper ablates in Fig. 6 is
+// the LocalSearch toggle.
 package conn
 
 import (
@@ -28,21 +24,8 @@ import (
 	"repro/internal/uf"
 )
 
-// Algorithm selects the connectivity implementation.
-type Algorithm int
-
-const (
-	// LDDUFJTB is the theoretically-efficient algorithm of Thm. 5.1.
-	LDDUFJTB Algorithm = iota
-	// UFAsync unions every edge directly with the concurrent union-find.
-	UFAsync
-)
-
 // Options configures Connectivity.
 type Options struct {
-	Algorithm Algorithm
-	// Beta is the LDD rate (0 = default 0.2). Ignored by UFAsync.
-	Beta float64
 	// Seed drives LDD shifts.
 	Seed uint64
 	// LocalSearch enables the hash-bag/local-search LDD optimization
@@ -76,22 +59,10 @@ type Result struct {
 
 // Connectivity computes the connected components of g under opt.
 func Connectivity(g *graph.Graph, opt Options) *Result {
-	switch opt.Algorithm {
-	case UFAsync:
-		return connUF(g, opt)
-	case LabelProp:
-		return connLabelProp(g, opt)
-	default:
-		return connLDD(g, opt)
-	}
-}
-
-func connLDD(g *graph.Graph, opt Options) *Result {
 	n := int(g.N)
 	sc := opt.Scratch
 	e := opt.Exec
 	dec := ldd.Decompose(g, ldd.Options{
-		Beta:        opt.Beta,
 		Seed:        opt.Seed,
 		LocalSearch: opt.LocalSearch,
 		Filter:      opt.Filter,
@@ -134,23 +105,6 @@ func connLDD(g *graph.Graph, opt Options) *Result {
 	return res
 }
 
-func connUF(g *graph.Graph, opt Options) *Result {
-	n := int(g.N)
-	sc := opt.Scratch
-	e := opt.Exec
-	ufbuf := sc.GetInt32(n)
-	e.Iota(ufbuf, 0)
-	u := uf.Wrap(ufbuf)
-	forest, cur := forestBuf(sc, n, opt.WantForest)
-	unionEdges(g, u, opt, nil, forest, cur)
-	res := finish(e, g, u, sc)
-	if opt.WantForest {
-		res.Forest = forest[:cur.Load()]
-	}
-	sc.PutInt32(ufbuf)
-	return res
-}
-
 // forestBuf returns the cursor-collected forest buffer for a graph of n
 // vertices, or nil when no forest is wanted. The buffer is arena-backed;
 // its ownership passes to the caller with the Forest result.
@@ -165,9 +119,9 @@ func forestBuf(sc *graph.Scratch, n int, want bool) ([]graph.Edge, *atomic.Int64
 	return sc.GetEdges(size), new(atomic.Int64)
 }
 
-// unionEdges unions every undirected edge passing opt.Filter (and the extra
-// predicate, when non-nil). Edges whose Union succeeded — a spanning forest
-// of the processed edge set relative to the current union-find state — are
+// unionEdges unions every undirected edge passing opt.Filter and the extra
+// predicate. Edges whose Union succeeded — a spanning forest of the
+// processed edge set relative to the current union-find state — are
 // written through the atomic cursor cur into forest when it is non-nil.
 // The traversal is the degree-aware blocked arc walk of
 // graph.ForArcSegments, so hubs never serialize one vertex block.
@@ -180,7 +134,7 @@ func unionEdges(g *graph.Graph, u *uf.UF, opt Options, extra func(v, w int32) bo
 			if v >= w { // each undirected edge once; skips self-loops
 				continue
 			}
-			if extra != nil && !extra(v, w) {
+			if !extra(v, w) {
 				continue
 			}
 			if opt.Filter != nil && !opt.Filter(v, w) {

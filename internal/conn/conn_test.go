@@ -91,15 +91,7 @@ var testGraphs = []struct {
 func TestLDDUFJTBAllGraphs(t *testing.T) {
 	for _, tc := range testGraphs {
 		t.Run(tc.name, func(t *testing.T) {
-			checkAgainstRef(t, tc.g(), Options{Algorithm: LDDUFJTB, Seed: 1, WantForest: true})
-		})
-	}
-}
-
-func TestUFAsyncAllGraphs(t *testing.T) {
-	for _, tc := range testGraphs {
-		t.Run(tc.name, func(t *testing.T) {
-			checkAgainstRef(t, tc.g(), Options{Algorithm: UFAsync, WantForest: true})
+			checkAgainstRef(t, tc.g(), Options{Seed: 1, WantForest: true})
 		})
 	}
 }
@@ -107,7 +99,7 @@ func TestUFAsyncAllGraphs(t *testing.T) {
 func TestLocalSearchAllGraphs(t *testing.T) {
 	for _, tc := range testGraphs {
 		t.Run(tc.name, func(t *testing.T) {
-			checkAgainstRef(t, tc.g(), Options{Algorithm: LDDUFJTB, Seed: 2, LocalSearch: true, WantForest: true})
+			checkAgainstRef(t, tc.g(), Options{Seed: 2, LocalSearch: true, WantForest: true})
 		})
 	}
 }
@@ -126,11 +118,9 @@ func TestFilteredConnectivity(t *testing.T) {
 		}
 		return !banned[[2]int32{u, w}]
 	}
-	for _, alg := range []Algorithm{LDDUFJTB, UFAsync} {
-		res := checkAgainstRef(t, g, Options{Algorithm: alg, Filter: filter, Seed: 3, WantForest: true})
-		if res.NumComp != 2 {
-			t.Fatalf("alg %v: NumComp = %d, want 2", alg, res.NumComp)
-		}
+	res := checkAgainstRef(t, g, Options{Filter: filter, Seed: 3, WantForest: true})
+	if res.NumComp != 2 {
+		t.Fatalf("NumComp = %d, want 2", res.NumComp)
 	}
 }
 

@@ -54,7 +54,7 @@ func (t *BlockCutTree) Degree(x int32) int {
 // cached, guarded by a sync.Once: concurrent first calls on a shared
 // Result are safe and all return the same tree, which must be treated as
 // immutable. Serving constructors precompute the cache before publishing
-// (see PrecomputeTopology).
+// (see PrecomputeTopologyIn).
 func (r *Result) BlockCutTree() *BlockCutTree {
 	r.precomputeTopology(nil)
 	return r.bct

@@ -214,7 +214,7 @@ func BCC(g *graph.Graph, opt Options) *Result {
 	res.Times.LastCC = time.Since(t0)
 	// The articulation-point / block-cut-tree caches stay lazy (sync.Once
 	// on first query); serving constructors precompute them on their own
-	// context — see PrecomputeTopology.
+	// context — see PrecomputeTopologyIn.
 
 	// Auxiliary space estimate (bytes): per-vertex tag arrays (w1, w2,
 	// low, high, first, last, parent, comp, labels, head ≈ 10n int32),
@@ -366,7 +366,7 @@ func (r *Result) Blocks() [][]int32 {
 // computed on first use together with the block-cut tree, guarded by a
 // sync.Once — concurrent first calls on a shared Result are safe and all
 // return the same cached slice (treat it as read-only). Serving
-// constructors precompute it (see PrecomputeTopology), making this a
+// constructors precompute it (see PrecomputeTopologyIn), making this a
 // lock-free read on their snapshots.
 func (r *Result) ArticulationPoints() []int32 {
 	r.precomputeTopology(nil)
@@ -399,20 +399,16 @@ func computeArticulationPoints(e *parallel.Exec, r *Result) []int32 {
 	return out
 }
 
-// PrecomputeTopology populates the ArticulationPoints and BlockCutTree
-// caches. core.BCC leaves them lazy (a one-shot decomposition that never
-// queries the topology should not pay ~2n int32 for it); serving
-// constructors — Runner, Store, engine adapters, bfsbcc, the Index build
-// — call this before publishing a snapshot so queries never hit the
-// compute path. Idempotent and safe to call concurrently with the lazy
-// accessors (all paths funnel through one sync.Once).
-func (r *Result) PrecomputeTopology() { r.precomputeTopology(nil) }
-
-// PrecomputeTopologyIn is PrecomputeTopology running on the execution
-// context e (nil = the process-global default), so constructors outside
-// this package (bfsbcc, the engine adapters, bctree.NewIn) keep the whole
-// build on one per-run context. Note the context only applies when this
-// call is the one that populates the cache.
+// PrecomputeTopologyIn populates the ArticulationPoints and BlockCutTree
+// caches on the execution context e (nil = the process-global default).
+// core.BCC leaves them lazy (a one-shot decomposition that never queries
+// the topology should not pay ~2n int32 for it); serving constructors —
+// Runner, Store, engine adapters, bfsbcc, the Index build — call this
+// before publishing a snapshot so queries never hit the compute path, and
+// pass their per-run context so the whole build stays on it. Note the
+// context only applies when this call is the one that populates the
+// cache. Idempotent and safe to call concurrently with the lazy accessors
+// (all paths funnel through one sync.Once).
 func (r *Result) PrecomputeTopologyIn(e *parallel.Exec) { r.precomputeTopology(e) }
 
 func (r *Result) precomputeTopology(e *parallel.Exec) {

@@ -63,22 +63,16 @@ type Rooted struct {
 // Root roots the spanning forest given by forest edges over n vertices.
 // comp[v] must be the component representative of v (comp[r] == r), as
 // produced by conn.Connectivity; each tree is rooted at its representative.
-// Equivalent to RootScratch with a nil arena.
+// Equivalent to RootIn with a nil execution context and arena.
 func Root(n int, forest []graph.Edge, comp []int32) *Rooted {
-	return RootScratch(n, forest, comp, nil)
+	return RootIn(nil, n, forest, comp, nil)
 }
 
-// RootScratch is Root drawing its temporaries — and the returned First,
-// Last, and Tour arrays — from sc (which may be nil). The caller owns the
-// arena-backed result arrays; Parent is always freshly allocated because it
-// outlives the pipeline run inside core.Result. Equivalent to RootIn with a
-// nil execution context.
-func RootScratch(n int, forest []graph.Edge, comp []int32, sc *graph.Scratch) *Rooted {
-	return RootIn(nil, n, forest, comp, sc)
-}
-
-// RootIn is RootScratch running on the execution context e (nil = the
-// process-global default).
+// RootIn is Root running on the execution context e (nil = the
+// process-global default) and drawing its temporaries — and the returned
+// First, Last, and Tour arrays — from sc (which may be nil). The caller
+// owns the arena-backed result arrays; Parent is always freshly allocated
+// because it outlives the pipeline run inside core.Result.
 func RootIn(e *parallel.Exec, n int, forest []graph.Edge, comp []int32, sc *graph.Scratch) *Rooted {
 	// Directed arcs: arc 2i = (U→W), arc 2i+1 = (W→U); an arc's head is
 	// its twin's source.

@@ -95,7 +95,7 @@ func TestFromEdgesMatchesAtomicReference(t *testing.T) {
 		// (scratch buffers are dirty on reuse).
 		sc := NewScratch()
 		for r := 0; r < 3; r++ {
-			g2, err := FromEdgesScratch(n, edges, sc)
+			g2, err := FromEdgesIn(nil, n, edges, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func rmatEdges(rng *rand.Rand, scale, edgeFactor int) []Edge {
 }
 
 // TestFromEdgesAtomicFallback drives the sparse-graph/many-workers regime
-// where FromEdgesScratch dispatches to the atomic-cursor fallback (worker
+// where FromEdgesIn dispatches to the atomic-cursor fallback (worker
 // cap 1+m/n far below Procs) and checks it still matches the reference.
 func TestFromEdgesAtomicFallback(t *testing.T) {
 	old := parallel.SetProcs(16)
@@ -193,7 +193,7 @@ func TestFromEdgesAtomicFallback(t *testing.T) {
 	equalGraphs(t, MustFromEdges(n, edges), want)
 	sc := NewScratch()
 	for r := 0; r < 2; r++ {
-		g, err := FromEdgesScratch(n, edges, sc)
+		g, err := FromEdgesIn(nil, n, edges, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestFromEdgesAtomicFallback(t *testing.T) {
 func TestFromEdgesScratchReusesBuffers(t *testing.T) {
 	sc := NewScratch()
 	edges := []Edge{{0, 1}, {1, 2}, {2, 0}, {2, 3}}
-	g1, err := FromEdgesScratch(4, edges, sc)
+	g1, err := FromEdgesIn(nil, 4, edges, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFromEdgesScratchReusesBuffers(t *testing.T) {
 		b[i] = -7 // dirty the buffer the next build will reuse
 	}
 	sc.PutInt32(b)
-	g2, err := FromEdgesScratch(4, edges, sc)
+	g2, err := FromEdgesIn(nil, 4, edges, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 // Package graph provides the compressed-sparse-row (CSR) graph substrate
 // shared by every algorithm in this repository: construction from edge
-// lists, symmetrization, parallel BFS, statistics, and a simple binary
-// interchange format.
+// lists, symmetrization, patching by edge deltas, parallel BFS, and a
+// simple binary interchange format.
 //
 // Vertices are int32 ids in [0, N). Graphs are undirected and stored with
 // both arc directions in the adjacency array, matching the paper's setting
 // ("for directed graphs, we symmetrize them to test BCC"). Self-loops and
-// parallel edges are permitted by the algorithms (they never affect
-// biconnectivity beyond the trivial ways) but can be removed with Simplify.
+// parallel edges are permitted: they never affect biconnectivity beyond
+// the trivial ways.
 package graph
 
 import (
@@ -105,15 +105,9 @@ func (g *Graph) ForArcSegments(e *parallel.Exec, grain int, seg func(v V, adj []
 
 // FromEdges builds a symmetric CSR graph over n vertices from the given
 // undirected edge list. Both arc directions are inserted for every edge.
-// Equivalent to FromEdgesScratch with a nil arena.
+// Equivalent to FromEdgesIn with a nil execution context and arena.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
-	return FromEdgesScratch(n, edges, nil)
-}
-
-// FromEdgesScratch is FromEdges drawing its temporaries from sc (which may
-// be nil). Equivalent to FromEdgesIn with a nil execution context.
-func FromEdgesScratch(n int, edges []Edge, sc *Scratch) (*Graph, error) {
-	return FromEdgesIn(nil, n, edges, sc)
+	return FromEdgesIn(nil, n, edges, nil)
 }
 
 // FromEdgesIn is FromEdges running on the execution context e (nil =
@@ -371,40 +365,6 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return out
-}
-
-// Simplify returns a copy of g with self-loops and parallel edges removed.
-// Adjacency lists are already sorted, so duplicates are adjacent: a single
-// count-scan-fill pass builds the simple CSR directly, with no hash map and
-// no intermediate edge list.
-func (g *Graph) Simplify() *Graph {
-	n := int(g.N)
-	offsets := make([]int32, n+1)
-	parallel.For(n, func(v int) {
-		prev := int32(-1)
-		var c int32
-		for _, w := range g.Neighbors(V(v)) {
-			if w != V(v) && w != prev {
-				c++
-				prev = w
-			}
-		}
-		offsets[v] = c
-	})
-	total := prim.ExclusiveScanInt32(offsets)
-	adj := make([]V, total)
-	parallel.For(n, func(v int) {
-		o := offsets[v]
-		prev := int32(-1)
-		for _, w := range g.Neighbors(V(v)) {
-			if w != V(v) && w != prev {
-				adj[o] = w
-				o++
-				prev = w
-			}
-		}
-	})
-	return &Graph{N: g.N, Offsets: offsets, Adj: adj}
 }
 
 // HasEdge reports whether the undirected edge {u,w} exists (binary search;

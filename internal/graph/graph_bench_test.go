@@ -81,11 +81,3 @@ func BenchmarkBFSChain(b *testing.B) {
 		BFS(g, 0)
 	}
 }
-
-func BenchmarkComputeStats(b *testing.B) {
-	g := benchGraph(1<<17, 16, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ComputeStats(g)
-	}
-}

@@ -42,26 +42,6 @@ func BenchmarkCountingSortByKey(b *testing.B) {
 	}
 }
 
-func BenchmarkSortPairsByKey(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	n := 1 << 19
-	maxKey := int32(1 << 24)
-	srcK := make([]int32, n)
-	srcV := make([]int32, n)
-	for i := range srcK {
-		srcK[i] = int32(rng.Intn(int(maxKey)))
-		srcV[i] = int32(i)
-	}
-	k := make([]int32, n)
-	v := make([]int32, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(k, srcK)
-		copy(v, srcV)
-		SortPairsByKey(k, v, maxKey)
-	}
-}
-
 func BenchmarkHash64(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {

@@ -2,7 +2,6 @@ package prim
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -52,29 +51,6 @@ func TestExclusiveScanInt32Large(t *testing.T) {
 	}
 }
 
-func TestExclusiveScanInt64Large(t *testing.T) {
-	n := 70001
-	a := make([]int64, n)
-	for i := range a {
-		a[i] = int64(i%11) - 3 // include negatives
-	}
-	ref := make([]int64, n)
-	var s int64
-	for i := range a {
-		ref[i] = s
-		s += a[i]
-	}
-	total := ExclusiveScanInt64(a)
-	if total != s {
-		t.Fatalf("total = %d, want %d", total, s)
-	}
-	for i := range a {
-		if a[i] != ref[i] {
-			t.Fatalf("a[%d] = %d, want %d", i, a[i], ref[i])
-		}
-	}
-}
-
 func TestScanQuick(t *testing.T) {
 	f := func(xs []int32) bool {
 		a := make([]int32, len(xs))
@@ -100,36 +76,6 @@ func TestScanQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPackInt32(t *testing.T) {
-	src := make([]int32, 50000)
-	for i := range src {
-		src[i] = int32(i)
-	}
-	got := PackInt32(src, func(i int) bool { return i%3 == 0 })
-	for j, v := range got {
-		if v != int32(3*j) {
-			t.Fatalf("got[%d] = %d, want %d", j, v, 3*j)
-		}
-	}
-	if len(got) != (50000+2)/3 {
-		t.Fatalf("len = %d", len(got))
-	}
-}
-
-func TestPackInt32Edge(t *testing.T) {
-	if got := PackInt32(nil, func(int) bool { return true }); got != nil {
-		t.Fatalf("pack(nil) = %v", got)
-	}
-	got := PackInt32([]int32{9}, func(int) bool { return true })
-	if len(got) != 1 || got[0] != 9 {
-		t.Fatalf("pack single = %v", got)
-	}
-	got = PackInt32([]int32{9}, func(int) bool { return false })
-	if len(got) != 0 {
-		t.Fatalf("pack none = %v", got)
 	}
 }
 
@@ -214,43 +160,6 @@ func TestCountingSortEmpty(t *testing.T) {
 	perm, offsets := CountingSortByKey(0, 5, func(int) int32 { return 0 })
 	if len(perm) != 0 || len(offsets) != 6 {
 		t.Fatalf("empty sort: perm=%v offsets=%v", perm, offsets)
-	}
-}
-
-func TestSortPairsByKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 100000
-	maxKey := int32(1 << 20)
-	keys := make([]int32, n)
-	vals := make([]int32, n)
-	type pair struct{ k, v int32 }
-	ref := make([]pair, n)
-	for i := range keys {
-		keys[i] = int32(rng.Intn(int(maxKey)))
-		vals[i] = int32(i)
-		ref[i] = pair{keys[i], vals[i]}
-	}
-	SortPairsByKey(keys, vals, maxKey)
-	sort.Slice(ref, func(a, b int) bool {
-		if ref[a].k != ref[b].k {
-			return ref[a].k < ref[b].k
-		}
-		return ref[a].v < ref[b].v // radix sort is stable; vals were increasing
-	})
-	for i := 0; i < n; i++ {
-		if keys[i] != ref[i].k || vals[i] != ref[i].v {
-			t.Fatalf("at %d: got (%d,%d) want (%d,%d)", i, keys[i], vals[i], ref[i].k, ref[i].v)
-		}
-	}
-}
-
-func TestSortPairsTrivial(t *testing.T) {
-	SortPairsByKey(nil, nil, 10)
-	k := []int32{5}
-	v := []int32{6}
-	SortPairsByKey(k, v, 10)
-	if k[0] != 5 || v[0] != 6 {
-		t.Fatal("single-element sort corrupted data")
 	}
 }
 
@@ -340,15 +249,6 @@ func TestRNGFloat64Range(t *testing.T) {
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
 		}
-	}
-}
-
-func TestRNGSplitIndependence(t *testing.T) {
-	r := NewRNG(5)
-	s := r.Split()
-	if r.Next() == s.Next() {
-		// One collision is possible but wildly unlikely for splitmix64.
-		t.Fatal("split stream identical to parent")
 	}
 }
 

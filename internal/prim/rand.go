@@ -1,6 +1,6 @@
 package prim
 
-// RNG is a deterministic splittable pseudo-random generator (splitmix64).
+// RNG is a deterministic pseudo-random generator (splitmix64).
 // Every randomized algorithm in this repository takes an explicit seed so
 // experiments are reproducible run-to-run and across machines.
 type RNG struct {
@@ -32,9 +32,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Next()>>11) / (1 << 53)
 }
 
-// Split returns an independent generator derived from this one.
-func (r *RNG) Split() *RNG { return &RNG{state: r.Next()} }
-
 // Hash64 mixes x with a fixed splitmix64 finalizer; used for stateless
 // per-element randomness (e.g. per-vertex LDD shifts keyed by vertex id).
 func Hash64(x uint64) uint64 {
@@ -43,6 +40,3 @@ func Hash64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// Hash32 reduces Hash64 to 32 bits.
-func Hash32(x uint64) uint32 { return uint32(Hash64(x) >> 32) }

@@ -1,6 +1,6 @@
 // Package prim implements the parallel primitives the paper's algorithms are
 // built from: prefix sums (scan), filter/pack, stable counting sort, semisort
-// by integer key, and a deterministic splittable RNG.
+// by integer key, and a deterministic seeded RNG.
 package prim
 
 import (
@@ -68,88 +68,6 @@ func ExclusiveScanInt32In(e *parallel.Exec, a []int32) int32 {
 		}
 	})
 	return total
-}
-
-// ExclusiveScanInt64 is ExclusiveScanInt32 for int64 slices.
-func ExclusiveScanInt64(a []int64) int64 {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	if n <= scanBlock || parallel.Procs() == 1 {
-		var s int64
-		for i := 0; i < n; i++ {
-			v := a[i]
-			a[i] = s
-			s += v
-		}
-		return s
-	}
-	nb := (n + scanBlock - 1) / scanBlock
-	sums := make([]int64, nb)
-	parallel.ForBlock(nb, 1, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := b*scanBlock, (b+1)*scanBlock
-			if hi > n {
-				hi = n
-			}
-			var s int64
-			for i := lo; i < hi; i++ {
-				s += a[i]
-			}
-			sums[b] = s
-		}
-	})
-	var total int64
-	for b := 0; b < nb; b++ {
-		v := sums[b]
-		sums[b] = total
-		total += v
-	}
-	parallel.ForBlock(nb, 1, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := b*scanBlock, (b+1)*scanBlock
-			if hi > n {
-				hi = n
-			}
-			s := sums[b]
-			for i := lo; i < hi; i++ {
-				v := a[i]
-				a[i] = s
-				s += v
-			}
-		}
-	})
-	return total
-}
-
-// PackInt32 returns the elements of src whose index satisfies keep, in order.
-// It is the parallel filter/pack primitive: flags, scan, scatter.
-func PackInt32(src []int32, keep func(i int) bool) []int32 {
-	n := len(src)
-	if n == 0 {
-		return nil
-	}
-	flags := make([]int32, n)
-	parallel.For(n, func(i int) {
-		if keep(i) {
-			flags[i] = 1
-		}
-	})
-	total := ExclusiveScanInt32(flags)
-	out := make([]int32, total)
-	parallel.For(n, func(i int) {
-		// After the scan, flags[i] is the output slot; an element is kept
-		// iff the next prefix value differs.
-		if i+1 < n {
-			if flags[i+1] != flags[i] {
-				out[flags[i]] = src[i]
-			}
-		} else if int32(len(out)) != flags[i] {
-			out[flags[i]] = src[i]
-		}
-	})
-	return out
 }
 
 // PackIndices returns the indices i in [0, n) with keep(i) true, in order.

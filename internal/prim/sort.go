@@ -99,42 +99,6 @@ func CountingSortByKeyArena(e *parallel.Exec, n int, nBuckets int32, key func(i 
 	return perm, offsets
 }
 
-// SortPairsByKey sorts (keys, vals) in place by key using a parallel LSD
-// radix sort (11-bit digits). Keys must be non-negative. maxKey is an upper
-// bound (exclusive) on key values.
-func SortPairsByKey(keys, vals []int32, maxKey int32) {
-	n := len(keys)
-	if n != len(vals) {
-		panic("prim.SortPairsByKey: length mismatch")
-	}
-	if n <= 1 {
-		return
-	}
-	const radixBits = 11
-	const radix = 1 << radixBits
-	tmpK := make([]int32, n)
-	tmpV := make([]int32, n)
-	srcK, srcV := keys, vals
-	dstK, dstV := tmpK, tmpV
-	for shift := 0; shift < 31 && (int64(1)<<shift) < int64(maxKey); shift += radixBits {
-		sh := shift
-		perm, _ := CountingSortByKey(n, radix, func(i int) int32 {
-			return (srcK[i] >> sh) & (radix - 1)
-		})
-		parallel.For(n, func(i int) {
-			j := perm[i]
-			dstK[i] = srcK[j]
-			dstV[i] = srcV[j]
-		})
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
-	}
-	if &srcK[0] != &keys[0] {
-		parallel.Copy(keys, srcK)
-		parallel.Copy(vals, srcV)
-	}
-}
-
 // MaxInt32 returns the maximum of a, or def when a is empty.
 func MaxInt32(a []int32, def int32) int32 {
 	return MaxInt32In(nil, a, def)

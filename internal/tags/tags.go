@@ -26,21 +26,15 @@ type Tags struct {
 // Compute derives the tags from a rooted forest. g supplies the non-tree
 // edges folded into w1/w2; parallel copies of tree edges are classified as
 // tree edges, which provably leaves every fence predicate unchanged.
-// Equivalent to ComputeScratch with a nil arena.
+// Equivalent to ComputeIn with a nil execution context and arena.
 func Compute(g *graph.Graph, rt *etour.Rooted) *Tags {
-	return ComputeScratch(g, rt, nil)
+	return ComputeIn(nil, g, rt, nil)
 }
 
-// ComputeScratch is Compute drawing its temporaries — and the returned Low
-// and High arrays — from sc (which may be nil). The caller owns the
+// ComputeIn is Compute running on the execution context e (nil = the
+// process-global default) and drawing its temporaries — and the returned
+// Low and High arrays — from sc (which may be nil). The caller owns the
 // arena-backed Low/High; First/Last/Parent alias the Rooted input.
-// Equivalent to ComputeIn with a nil execution context.
-func ComputeScratch(g *graph.Graph, rt *etour.Rooted, sc *graph.Scratch) *Tags {
-	return ComputeIn(nil, g, rt, sc)
-}
-
-// ComputeIn is ComputeScratch running on the execution context e (nil =
-// the process-global default).
 func ComputeIn(e *parallel.Exec, g *graph.Graph, rt *etour.Rooted, sc *graph.Scratch) *Tags {
 	n := int(g.N)
 	first, last, parent := rt.First, rt.Last, rt.Parent

@@ -37,9 +37,9 @@ var ErrBuildPanic = errors.New("engine panicked")
 // construct with NewRunner.
 type Runner struct {
 	exec *parallel.Exec
-	// arenas recycles one *Scratch per concurrent run rather than sharing
-	// a single arena, so concurrent runs never contend on a freelist
-	// mutex and a burst of k runs settles at k pooled arenas.
+	// arenas recycles one *graph.Scratch per concurrent run rather than
+	// sharing a single arena, so concurrent runs never contend on a
+	// freelist mutex and a burst of k runs settles at k pooled arenas.
 	arenas sync.Pool
 	// metrics counts runs/errors/panics when the Runner is owned by a
 	// Store; nil (and unrecorded) on a standalone Runner.
@@ -59,24 +59,14 @@ func NewRunner(workers int) *Runner {
 // Run computes the biconnected components of g like BCC — including
 // engine selection via opts.Algorithm, with the same panic-on-unknown-name
 // contract — on the Runner's worker budget. opts may be nil for defaults.
-// opts.Threads caps this run's share of the Runner's workers; opts.Scratch
-// overrides the Runner's recycled arena (for callers that manage their
-// own). The returned Result never aliases pooled memory.
+// opts.Threads caps this run's share of the Runner's workers. The returned
+// Result never aliases pooled memory.
 func (r *Runner) Run(g *Graph, opts *Options) *Result {
 	res, err := r.run(context.Background(), g, opts)
 	if err != nil {
 		panic(err)
 	}
 	return res
-}
-
-// RunContext is Run bounded by ctx: the build's parallel loops observe
-// cancellation cooperatively at block granularity and the abandoned run
-// returns ctx's error instead of running to completion. Unlike Run it
-// also reports unknown algorithm names and engine panics as errors
-// rather than panicking — the error-surfacing form serving layers want.
-func (r *Runner) RunContext(ctx context.Context, g *Graph, opts *Options) (*Result, error) {
-	return r.run(ctx, g, opts)
 }
 
 // recoverBuildPanic converts a panic unwinding a build into an error
@@ -121,15 +111,12 @@ func (r *Runner) run(ctx context.Context, g *Graph, opts *Options) (res *Result,
 		o = *opts
 	}
 	ex := r.exec.Limit(o.Threads).WithContext(ctx)
-	if o.Scratch == nil {
-		arena := r.arenas.Get().(*Scratch)
-		defer r.arenas.Put(arena)
-		o.Scratch = arena
-	}
+	arena := r.arenas.Get().(*graph.Scratch)
+	defer r.arenas.Put(arena)
 	// Registry engines return results with the topology caches already
 	// computed on ex, so a published snapshot never hits the lazy
 	// compute path from a query.
-	res, err = runEngine(g, o, ex)
+	res, err = runEngine(g, o, ex, arena)
 	if err != nil {
 		return nil, err
 	}
