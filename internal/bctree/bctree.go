@@ -175,25 +175,24 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 // occurrence descends (+1, or 0 at a tree root), a revisit returns to the
 // parent (-1). Each tree's tour starts and ends at its root, so the
 // running sum re-zeroes exactly at every tree boundary and one global
-// parallel prefix sum handles the whole concatenated tour.
+// parallel prefix sum handles the whole concatenated tour. The deltas are
+// written once into m+1 slots, so after the exclusive scan slot i+1 holds
+// the inclusive sum through position i, and the depths are the buffer
+// shifted by one.
 func tourDepths(e *parallel.Exec, rt *etour.Rooted) []int32 {
 	m := len(rt.Tour)
-	d := make([]int32, m)
-	e.For(m, func(i int) { d[i] = tourDelta(rt, i) })
+	d := make([]int32, m+1)
+	e.For(m, func(i int) {
+		v := rt.Tour[i]
+		switch {
+		case int(rt.First[v]) != i:
+			d[i] = -1
+		case rt.Parent[v] != -1:
+			d[i] = 1
+		}
+	})
 	prim.ExclusiveScanInt32In(e, d)
-	e.For(m, func(i int) { d[i] += tourDelta(rt, i) })
-	return d
-}
-
-func tourDelta(rt *etour.Rooted, i int) int32 {
-	v := rt.Tour[i]
-	if int(rt.First[v]) != i {
-		return -1
-	}
-	if rt.Parent[v] == -1 {
-		return 0
-	}
-	return 1
+	return d[1:]
 }
 
 func nodeDepths(e *parallel.Exec, first, tourDepth []int32) []int32 {

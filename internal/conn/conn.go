@@ -73,9 +73,13 @@ func Connectivity(g *graph.Graph, opt Options) *Result {
 	e.Iota(ufbuf, 0)
 	u := uf.Wrap(ufbuf)
 	// Forest edges are collected into one arena buffer through an atomic
-	// write cursor (a spanning forest has at most n-1 edges); with one
-	// worker the loops run inline, so the sequential edge order is cluster
-	// trees first (by decreasing child), then cross edges.
+	// write cursor (a spanning forest has at most n-1 edges). Each block
+	// stages its edges in a prim.Appender and advances the cursor once per
+	// batch, not once per edge: the per-edge add made the workers pass the
+	// cursor's cache line back and forth beside every union (see ldd's
+	// expandOneHop for the measurement). With one worker the loops run
+	// inline, so the sequential edge order is cluster trees first (by
+	// decreasing child), then cross edges.
 	forest, cur := forestBuf(sc, n, opt.WantForest)
 	// Cluster parent edges connect each cluster; they are tree edges by
 	// construction (each union merges two distinct sets regardless of
@@ -83,14 +87,18 @@ func Connectivity(g *graph.Graph, opt Options) *Result {
 	// id down: uf.UF roots a set at its largest member, so a child joins
 	// under the root its parent's set already has instead of becoming a
 	// new root that every later union in the cluster climbs through.
-	e.For(n, func(i int) {
-		v := n - 1 - i
-		if p := dec.Parent[v]; p != -1 {
-			u.Union(int32(v), p)
-			if forest != nil {
-				forest[cur.Add(1)-1] = graph.Edge{U: p, W: int32(v)}
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		out := prim.NewAppender(forest, cur)
+		for i := lo; i < hi; i++ {
+			v := n - 1 - i
+			if p := dec.Parent[v]; p != -1 {
+				u.Union(int32(v), p)
+				if forest != nil {
+					out.Push(graph.Edge{U: p, W: int32(v)})
+				}
 			}
 		}
+		out.Flush()
 	})
 	// Union cut edges (endpoints in different clusters); the edges whose
 	// union merged two sets join the forest.
@@ -122,28 +130,33 @@ func forestBuf(sc *graph.Scratch, n int, want bool) ([]graph.Edge, *atomic.Int64
 // unionEdges unions every undirected edge passing opt.Filter and the extra
 // predicate. Edges whose Union succeeded — a spanning forest of the
 // processed edge set relative to the current union-find state — are
-// written through the atomic cursor cur into forest when it is non-nil.
-// The traversal is the degree-aware blocked arc walk of
-// graph.ForArcSegments, so hubs never serialize one vertex block.
+// appended through the atomic cursor cur to forest when it is non-nil, in
+// per-block batches. The traversal is a degree-aware blocked walk over the
+// arc array (see graph.ArcSegments), so hubs never serialize one vertex
+// block.
 func unionEdges(g *graph.Graph, u *uf.UF, opt Options, extra func(v, w int32) bool, forest []graph.Edge, cur *atomic.Int64) {
 	collect := opt.WantForest && forest != nil
 	const arcGrain = 4096
-	g.ForArcSegments(opt.Exec, arcGrain, func(v int32, adj []int32) {
-		// Tight per-vertex segment: v is fixed for the range.
-		for _, w := range adj {
-			if v >= w { // each undirected edge once; skips self-loops
-				continue
-			}
-			if !extra(v, w) {
-				continue
-			}
-			if opt.Filter != nil && !opt.Filter(v, w) {
-				continue
-			}
-			if u.Union(v, w) && collect {
-				forest[cur.Add(1)-1] = graph.Edge{U: v, W: w}
+	opt.Exec.ForBlock(g.NumArcs(), arcGrain, func(lo, hi int) {
+		out := prim.NewAppender(forest, cur)
+		for v, adj := range g.ArcSegments(lo, hi) {
+			// Tight per-vertex segment: v is fixed for the range.
+			for _, w := range adj {
+				if v >= w { // each undirected edge once; skips self-loops
+					continue
+				}
+				if !extra(v, w) {
+					continue
+				}
+				if opt.Filter != nil && !opt.Filter(v, w) {
+					continue
+				}
+				if u.Union(v, w) && collect {
+					out.Push(graph.Edge{U: v, W: w})
+				}
 			}
 		}
+		out.Flush()
 	})
 }
 

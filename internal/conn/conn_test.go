@@ -2,11 +2,13 @@ package conn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/uf"
 )
 
@@ -206,5 +208,38 @@ func TestParallelEdges(t *testing.T) {
 	res := Connectivity(g, Options{WantForest: true})
 	if res.NumComp != 1 || len(res.Forest) != 1 {
 		t.Fatalf("parallel edges: comp=%d forest=%d", res.NumComp, len(res.Forest))
+	}
+}
+
+// TestConnectivityBlockFlushesAcrossWorkers runs the batched forest
+// appends at 1, 2 and 4 workers, with and without local search, on inputs
+// where one block produces more forest edges than a prim.Appender stages
+// between two flushes (the star's cluster-parent edges, the RMAT and grid
+// cut edges). A lost or doubled batch shows up in checkForest as a wrong
+// edge count, a cycle or a component the forest misses. At one worker,
+// where every block runs inline in order, two runs must agree exactly.
+func TestConnectivityBlockFlushesAcrossWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"star5000", gen.Star(5001)},
+		{"rmat14", gen.RMAT(14, 8, 5)},
+		{"sampledgrid200", gen.SampledGrid(200, 200, 0.6, 5)},
+	} {
+		for _, p := range []int{1, 2, 4} {
+			for _, ls := range []bool{false, true} {
+				e := parallel.NewExec(p)
+				opt := Options{Seed: 13, LocalSearch: ls, WantForest: true, Exec: e}
+				res := checkAgainstRef(t, tc.g, opt)
+				if p == 1 {
+					again := Connectivity(tc.g, opt)
+					if !slices.Equal(res.Comp, again.Comp) || !slices.Equal(res.Forest, again.Forest) {
+						t.Fatalf("%s local=%v: two one-worker runs differ", tc.name, ls)
+					}
+				}
+				e.Close()
+			}
+		}
 	}
 }

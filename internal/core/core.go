@@ -270,23 +270,25 @@ func lastCC(e *parallel.Exec, g *graph.Graph, tg *tags.Tags, numTrees int, sc *g
 	// Skeleton cross arcs: non-tree, non-back (Alg. 1 line 13). The
 	// degree-aware blocked arc walk keeps hubs from serializing; all
 	// predicates are inlined interval tests on the segment's fixed v.
-	g.ForArcSegments(e, 4096, func(v int32, adj []int32) {
-		fv, lv := first[v], last[v]
-		for _, w := range adj {
-			if v >= w { // each undirected edge once; skips self-loops
-				continue
+	e.ForBlock(g.NumArcs(), 4096, func(lo, hi int) {
+		for v, adj := range g.ArcSegments(lo, hi) {
+			fv, lv := first[v], last[v]
+			for _, w := range adj {
+				if v >= w { // each undirected edge once; skips self-loops
+					continue
+				}
+				if parent[w] == v || parent[v] == w {
+					continue // (parallels a) tree edge: handled above
+				}
+				fw := first[w]
+				if fv <= fw && lv >= fw {
+					continue // back edge: v is an ancestor of w
+				}
+				if fw <= fv && last[w] >= fv {
+					continue // back edge: w is an ancestor of v
+				}
+				u.Union(v, w)
 			}
-			if parent[w] == v || parent[v] == w {
-				continue // (parallels a) tree edge: handled above
-			}
-			fw := first[w]
-			if fv <= fw && lv >= fw {
-				continue // back edge: v is an ancestor of w
-			}
-			if fw <= fv && last[w] >= fv {
-				continue // back edge: w is an ancestor of v
-			}
-			u.Union(v, w)
 		}
 	})
 	// Dense labels: rank the union-find roots by a prefix sum, exactly
@@ -310,11 +312,14 @@ func lastCC(e *parallel.Exec, g *graph.Graph, tg *tags.Tags, numTrees int, sc *g
 	// (-1: a root singleton is not a BCC); every other label's head
 	// writers agree on the unique head (Thm. 4.9) and store it
 	// atomically to keep the concurrent same-value writes well-defined
-	// under the Go memory model.
+	// under the Go memory model. A block counts each run of consecutive
+	// non-root vertices with one label and adds the run once, not per
+	// vertex; a label can span blocks, so the add stays atomic.
 	label := make([]int32, n) // retained by the Result: never arena-backed
 	head := make([]int32, numLabels)
 	count := make([]int32, numLabels)
 	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		runL, runN := int32(-1), int32(0)
 		for v := lo; v < hi; v++ {
 			l := isRoot[comp[v]]
 			label[v] = l
@@ -323,10 +328,19 @@ func lastCC(e *parallel.Exec, g *graph.Graph, tg *tags.Tags, numTrees int, sc *g
 				head[l] = -1
 				continue
 			}
-			atomic.AddInt32(&count[l], 1)
+			if l != runL {
+				if runN > 0 {
+					atomic.AddInt32(&count[runL], runN)
+				}
+				runL, runN = l, 0
+			}
+			runN++
 			if comp[p] != comp[v] {
 				atomic.StoreInt32(&head[l], p)
 			}
+		}
+		if runN > 0 {
+			atomic.AddInt32(&count[runL], runN)
 		}
 	})
 	sc.PutInt32(ufbuf, comp, isRoot)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // TestStepTimesCoverFinalization pins the StepTimes contract after the
@@ -48,6 +51,32 @@ func TestStepTimesCoverFinalization(t *testing.T) {
 	}
 	if nonRoot != want {
 		t.Fatalf("fused label sizes sum to %d non-root vertices, want %d", nonRoot, want)
+	}
+}
+
+// TestFusedLabelSizesMatchRecount checks the label sizes Last-CC counts
+// in its fused finalization, label for label, against the from-scratch
+// recount at 1, 2 and 4 workers. The finalization adds each run of
+// equal labels once, so a run it forgets to add at a block end or at a
+// label change leaves one label short; a sum over all labels could miss
+// that when another label is long by as much, a per-label comparison
+// cannot.
+func TestFusedLabelSizesMatchRecount(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat13", gen.RMAT(13, 8, 0x5e)},
+		{"sampledgrid200", gen.SampledGrid(200, 200, 0.6, 0x5e)},
+	} {
+		for _, p := range []int{1, 2, 4} {
+			e := parallel.NewExec(p)
+			res := BCC(tc.g, Options{Seed: 7, Exec: e})
+			e.Close()
+			if !slices.Equal(res.LabelSizes(), computeLabelSizes(res)) {
+				t.Fatalf("%s at %d workers: fused label sizes differ from the recount", tc.name, p)
+			}
+		}
 	}
 }
 

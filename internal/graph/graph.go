@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"sync/atomic"
 
@@ -57,50 +58,41 @@ func (g *Graph) Degree(v V) int {
 	return int(g.Offsets[v+1] - g.Offsets[v])
 }
 
-// ForArcSegments walks every arc of g in parallel on e with degree-aware
-// blocking: the *arc* array is partitioned into blocks of about grain
-// arcs — not the vertex range — so a power-law hub with millions of
-// neighbors is spread over many blocks (claimed dynamically by the worker
-// pool) instead of serializing one vertex block. Each block locates its
-// first vertex by binary search on the offset array and then walks arcs
-// and vertex boundaries together, invoking seg(v, adj) for each maximal
-// run of arcs with source v inside the block (adj is the corresponding
-// sub-slice of g.Adj, so the hot per-arc loop lives in the caller with v
-// fixed — one indirect call per segment, none per arc). A vertex whose
-// arcs span blocks gets one seg call per block.
-func (g *Graph) ForArcSegments(e *parallel.Exec, grain int, seg func(v V, adj []V)) {
-	nArcs := g.NumArcs()
-	if nArcs == 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	nb := (nArcs + grain - 1) / grain
-	e.ForBlock(nb, 1, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			alo, ahi := b*grain, (b+1)*grain
-			if ahi > nArcs {
-				ahi = nArcs
+// ArcSegments iterates over the arcs Adj[lo:hi] one segment at a time:
+// it yields (v, adj) for each maximal run of arcs with source v inside the
+// range, where adj is the corresponding sub-slice of g.Adj, so the hot
+// per-arc loop lives in the caller with v fixed. The first source is found
+// by binary search on the offset array, and a vertex whose arcs straddle lo
+// or hi yields only the part inside the range.
+//
+// Parallel callers partition the *arc* array, not the vertex range:
+//
+//	e.ForBlock(g.NumArcs(), grain, func(lo, hi int) {
+//		for v, adj := range g.ArcSegments(lo, hi) { ... }
+//	})
+//
+// so a power-law hub with millions of neighbors is spread over many
+// blocks instead of serializing one vertex block, and each block body is
+// one scope that can carry block-local state (such as a prim.Appender)
+// across its segments. The iterator inlines into such a body, so the
+// walk costs no call per segment and block-local state stays on the
+// stack.
+func (g *Graph) ArcSegments(lo, hi int) iter.Seq2[V, []V] {
+	return func(yield func(V, []V) bool) {
+		v := V(sort.Search(int(g.N), func(x int) bool {
+			return g.Offsets[x+1] > int32(lo)
+		}))
+		for a := lo; a < hi; {
+			for int(g.Offsets[v+1]) <= a {
+				v++
 			}
-			// First vertex whose arc range contains alo.
-			v := V(sort.Search(int(g.N), func(x int) bool {
-				return g.Offsets[x+1] > int32(alo)
-			}))
-			a := alo
-			for a < ahi {
-				for int(g.Offsets[v+1]) <= a {
-					v++
-				}
-				vEnd := int(g.Offsets[v+1])
-				if vEnd > ahi {
-					vEnd = ahi
-				}
-				seg(v, g.Adj[a:vEnd])
-				a = vEnd
+			end := min(int(g.Offsets[v+1]), hi)
+			if !yield(v, g.Adj[a:end]) {
+				return
 			}
+			a = end
 		}
-	})
+	}
 }
 
 // FromEdges builds a symmetric CSR graph over n vertices from the given

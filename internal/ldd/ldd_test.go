@@ -1,10 +1,12 @@
 package ldd
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/uf"
 )
 
@@ -182,4 +184,107 @@ func TestDeterminism(t *testing.T) {
 	// within a small tolerance. We check the strong invariant instead.
 	validate(t, g, a)
 	validate(t, g, b)
+}
+
+// TestDecomposeBlockFlushesAcrossWorkers runs the batched frontier claims
+// at 1, 2 and 4 workers, with and without local search, on inputs where
+// one block claims more vertices than a prim.Appender stages between two
+// flushes: the star's center claims all 5,000 leaves in one block, and the
+// RMAT hubs and the grid's wide frontiers fill many batches per round. The
+// result must pass validate, and at one worker, where every block runs
+// inline in order, two runs must agree exactly.
+func TestDecomposeBlockFlushesAcrossWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"star5000", gen.Star(5001)},
+		{"rmat14", gen.RMAT(14, 8, 5)},
+		{"sampledgrid200", gen.SampledGrid(200, 200, 0.6, 5)},
+	} {
+		for _, p := range []int{1, 2, 4} {
+			for _, ls := range []bool{false, true} {
+				e := parallel.NewExec(p)
+				opt := Options{Seed: 13, LocalSearch: ls, Exec: e}
+				r := Decompose(tc.g, opt)
+				validate(t, tc.g, r)
+				if p == 1 {
+					again := Decompose(tc.g, opt)
+					if !slices.Equal(r.Center, again.Center) || !slices.Equal(r.Parent, again.Parent) || r.Rounds != again.Rounds {
+						t.Fatalf("%s local=%v: two one-worker runs differ", tc.name, ls)
+					}
+				}
+				e.Close()
+			}
+		}
+	}
+}
+
+// TestExpandKeepsEveryOpenVertex checks one expansion step's frontier
+// contract directly: afterwards every vertex that the step claimed (one
+// hop), or that still has an unclaimed neighbor (local search, whose
+// budget defers such vertices), is in the next frontier exactly once. A
+// deferred batch lost at a flush leaves the decomposition valid — the
+// orphaned neighbors open clusters of their own in later rounds — so
+// validate alone cannot see it. The input is eight spiders of 300 legs of
+// length two: one block of their centers claims 2,400 vertices in one hop,
+// and under local search each of two blocks of four centers defers 4 × 65
+// open vertices, all more than a batch.
+func TestExpandKeepsEveryOpenVertex(t *testing.T) {
+	const spiders, legs = 8, 300
+	var edges []graph.Edge
+	var frontier []int32
+	for s := int32(0); s < spiders; s++ {
+		c := s * (2*legs + 1)
+		frontier = append(frontier, c)
+		for i := int32(0); i < legs; i++ {
+			edges = append(edges, graph.Edge{U: c, W: c + 1 + 2*i}, graph.Edge{U: c + 1 + 2*i, W: c + 2 + 2*i})
+		}
+	}
+	n := int(spiders * (2*legs + 1))
+	g := graph.MustFromEdges(n, edges)
+	for _, p := range []int{1, 2, 4} {
+		for _, local := range []bool{false, true} {
+			e := parallel.NewExec(p)
+			res := &Result{Center: make([]int32, n), Parent: make([]int32, n)}
+			for v := range res.Center {
+				res.Center[v], res.Parent[v] = -1, -1
+			}
+			for _, c := range frontier {
+				res.Center[c] = c
+			}
+			expand := expandOneHop
+			if local {
+				expand = expandLocal
+			}
+			next, claimed := expand(e, g, frontier, res, nil, graph.NewScratch())
+			e.Close()
+			inNext := make(map[int32]bool, len(next))
+			for _, v := range next {
+				if inNext[v] {
+					t.Fatalf("p=%d local=%v: %d is in the next frontier twice", p, local, v)
+				}
+				inNext[v] = true
+			}
+			newly := 0
+			for v := int32(0); v < int32(n); v++ {
+				if res.Center[v] == -1 {
+					continue
+				}
+				if res.Parent[v] != -1 {
+					newly++
+				}
+				open := false
+				for _, w := range g.Neighbors(v) {
+					open = open || res.Center[w] == -1
+				}
+				if (open || (!local && res.Parent[v] != -1)) && !inNext[v] {
+					t.Fatalf("p=%d local=%v: %d is missing from the next frontier", p, local, v)
+				}
+			}
+			if claimed != newly {
+				t.Fatalf("p=%d local=%v: step reports %d claims, %d vertices were claimed", p, local, claimed, newly)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 // Package prim implements the parallel primitives the paper's algorithms are
 // built from: prefix sums (scan), filter/pack, stable counting sort, semisort
-// by integer key, and a deterministic seeded RNG.
+// by integer key, a deterministic seeded RNG, and the Appender through which
+// parallel blocks fill one shared output buffer.
 package prim
 
 import (

@@ -44,7 +44,15 @@ func CountingSortByKeyArena(e *parallel.Exec, n int, nBuckets int32, key func(i 
 		return perm, offsets
 	}
 	// Parallel path: per-block histograms, column-major scan for stability.
+	// Four blocks per worker balance the load, but each block costs a
+	// histogram row of nBuckets counters that is zeroed and walked twice
+	// by the column passes; when those counters would outnumber the items
+	// (about as many buckets as items, as in the Euler tour's sorts by
+	// node), one block per worker cuts that overhead fourfold.
 	nb := 4 * p
+	if nb*int(nBuckets) > n {
+		nb = p
+	}
 	blockSz := (n + nb - 1) / nb
 	nb = (n + blockSz - 1) / blockSz
 	hist := arenaGet(a, nb*int(nBuckets), true)
