@@ -2,10 +2,12 @@
 // (Thm. 5.1 of the paper): a low-diameter decomposition shrinks the graph
 // into clusters, then a concurrent union-find (Jayanti–Tarjan–Boix-Adserà
 // style) unions the cut edges. The paper's O(n+m) expected work rests on
-// MPX's O(βm) cut edges, which internal/ldd's start order does not give: it
-// cuts 85.6% of RMAT-16-8's edges and 41.0% of the 360×360 sampled grid's
-// (see the ldd package doc), so most of the work lands in the union-find,
-// which stays correct. FAST-BCC runs it once, on the input graph
+// MPX's O(βm) cut edges, and internal/ldd starts its vertices in MPX's
+// order: on the benchmark's seed-7 inputs it cuts 1 of RMAT-16-8's 524,033
+// edges and 5.5% of the 360×360 sampled grid's, where starting vertex v
+// at round ⌊δ_v⌋ cut 84.3% and 40.9% (see the ldd package doc). The
+// cluster trees' edges, n minus the number of clusters, are unioned
+// first, then the cut edges. FAST-BCC runs it once, on the input graph
 // (First-CC), producing a spanning forest as a by-product; Last-CC streams
 // the skeleton arcs into a union-find of its own. The edge Filter restricts
 // a run to a subgraph without materializing it: the GBBS-style baseline

@@ -101,11 +101,20 @@ func RoadLike(rows, cols int, diag float64, seed uint64) *graph.Graph {
 // (a,b,c,d) = (0.57, 0.19, 0.19, 0.05) parameters. The result resembles
 // social/web graphs: skewed degrees and low diameter. Self-loops are
 // dropped; parallel edges are kept (the algorithms tolerate them).
+//
+// The graph does not depend on the worker count: each fixed chunk of
+// max(4096, ⌈m/8⌉) edges draws from its own RNG stream, seeded by the
+// chunk's first edge index. Those are the blocks parallel.ForBlock cuts
+// at two workers, so the graphs are the ones earlier versions generated
+// at two workers.
 func RMAT(scale int, edgeFactor int, seed uint64) *graph.Graph {
 	n := 1 << scale
 	m := edgeFactor * n
 	edges := make([]graph.Edge, m)
-	parallel.ForBlock(m, 4096, func(lo, hi int) {
+	chunk := max(4096, (m+7)/8)
+	parallel.ForGrain((m+chunk-1)/chunk, 1, func(c int) {
+		lo := c * chunk
+		hi := min(lo+chunk, m)
 		rng := prim.NewRNG(seed + uint64(lo)*0x9e3779b9)
 		for i := lo; i < hi; i++ {
 			u, w := rmatEdge(scale, rng)

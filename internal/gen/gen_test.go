@@ -1,9 +1,11 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 func TestChain(t *testing.T) {
@@ -122,9 +124,21 @@ func TestRMAT(t *testing.T) {
 			}
 		}
 	}
-	g2 := RMAT(10, 8, 3)
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatal("rmat not deterministic")
+	// The same graph at every worker count: the scale-13 graph has 65,536
+	// edge slots, enough for 8 chunks of 8,192 that 2 and 4 workers split
+	// between them differently.
+	for _, scale := range []int{10, 13} {
+		var want []graph.Edge
+		for _, p := range []int{1, 2, 4} {
+			prev := parallel.SetProcs(p)
+			got := RMAT(scale, 8, 3).Edges()
+			parallel.SetProcs(prev)
+			if want == nil {
+				want = got
+			} else if !slices.Equal(got, want) {
+				t.Fatalf("rmat scale %d: %d workers give another graph than 1 worker", scale, p)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package ldd
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -174,6 +175,49 @@ func TestBetaControlsClusterCount(t *testing.T) {
 	}
 }
 
+// TestDecomposeCutsFewEdges holds the decomposition to MPX's per-edge
+// bound: an edge is cut with probability at most 1 − e^{−β}, 18.1% at the
+// default β = 0.2, so a run may cut at most that share of the edges. The
+// inputs span both diameter classes. Starting v at round ⌊δ_v⌋ instead of
+// ⌊δ_max⌋ − ⌊δ_v⌋ opens a cluster at most vertices and cuts 33–84% here.
+func TestDecomposeCutsFewEdges(t *testing.T) {
+	bound := 1 - math.Exp(-0.2)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat14", gen.RMAT(14, 8, 1)},
+		{"sampledgrid200", gen.SampledGrid(200, 200, 0.6, 1)},
+		{"torus300", gen.Grid2D(300, 300, true)},
+		{"chain1e5", gen.Chain(100000)},
+		{"knn20000", gen.KNN(20000, 5, 1)},
+		{"roadlike200", gen.RoadLike(200, 200, 0.1, 1)},
+	} {
+		edges := tc.g.Edges()
+		worst := 0.0
+		for _, p := range []int{1, 2} {
+			e := parallel.NewExec(p)
+			for seed := uint64(1); seed <= 5; seed++ {
+				r := Decompose(tc.g, Options{Seed: seed, Exec: e})
+				cut := 0
+				for _, ed := range edges {
+					if r.Center[ed.U] != r.Center[ed.W] {
+						cut++
+					}
+				}
+				frac := float64(cut) / float64(len(edges))
+				if frac > bound {
+					t.Errorf("%s p=%d seed=%d: %d of %d edges cut (%.1f%%), want at most %.1f%%",
+						tc.name, p, seed, cut, len(edges), 100*frac, 100*bound)
+				}
+				worst = math.Max(worst, frac)
+			}
+			e.Close()
+		}
+		t.Logf("%s: at most %.1f%% of %d edges cut", tc.name, 100*worst, len(edges))
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	g := gen.RMAT(10, 8, 11)
 	a := Decompose(g, Options{Seed: 12})
@@ -230,13 +274,19 @@ func TestDecomposeBlockFlushesAcrossWorkers(t *testing.T) {
 // length two: one block of their centers claims 2,400 vertices in one hop,
 // and under local search each of two blocks of four centers defers 4 × 65
 // open vertices, all more than a batch.
+//
+// Each step runs twice: once with the spiders' centers claimed beforehand
+// and passed as the frontier, and once with them unclaimed and passed as
+// the round's candidates. A candidate must then be claimed as its own
+// center exactly once, expanded in the same step (every leg it reached
+// belongs to its cluster), and counted in the step's claims.
 func TestExpandKeepsEveryOpenVertex(t *testing.T) {
 	const spiders, legs = 8, 300
 	var edges []graph.Edge
-	var frontier []int32
+	var centers []int32
 	for s := int32(0); s < spiders; s++ {
 		c := s * (2*legs + 1)
-		frontier = append(frontier, c)
+		centers = append(centers, c)
 		for i := int32(0); i < legs; i++ {
 			edges = append(edges, graph.Edge{U: c, W: c + 1 + 2*i}, graph.Edge{U: c + 1 + 2*i, W: c + 2 + 2*i})
 		}
@@ -245,45 +295,64 @@ func TestExpandKeepsEveryOpenVertex(t *testing.T) {
 	g := graph.MustFromEdges(n, edges)
 	for _, p := range []int{1, 2, 4} {
 		for _, local := range []bool{false, true} {
-			e := parallel.NewExec(p)
-			res := &Result{Center: make([]int32, n), Parent: make([]int32, n)}
-			for v := range res.Center {
-				res.Center[v], res.Parent[v] = -1, -1
-			}
-			for _, c := range frontier {
-				res.Center[c] = c
-			}
-			expand := expandOneHop
-			if local {
-				expand = expandLocal
-			}
-			next, claimed := expand(e, g, frontier, res, nil, graph.NewScratch())
-			e.Close()
-			inNext := make(map[int32]bool, len(next))
-			for _, v := range next {
-				if inNext[v] {
-					t.Fatalf("p=%d local=%v: %d is in the next frontier twice", p, local, v)
+			for _, asCand := range []bool{false, true} {
+				e := parallel.NewExec(p)
+				res := &Result{Center: make([]int32, n), Parent: make([]int32, n)}
+				for v := range res.Center {
+					res.Center[v], res.Parent[v] = -1, -1
 				}
-				inNext[v] = true
-			}
-			newly := 0
-			for v := int32(0); v < int32(n); v++ {
-				if res.Center[v] == -1 {
-					continue
+				frontier, cand := centers, []int32(nil)
+				if asCand {
+					frontier, cand = nil, centers
+				} else {
+					for _, c := range centers {
+						res.Center[c] = c
+					}
 				}
-				if res.Parent[v] != -1 {
-					newly++
+				x := newExpansion(e, g, res, nil)
+				expand := x.expandOneHop
+				if local {
+					expand = x.expandLocal
 				}
-				open := false
-				for _, w := range g.Neighbors(v) {
-					open = open || res.Center[w] == -1
+				next, claimed := expand(frontier, cand, make([]int32, n))
+				e.Close()
+				inNext := make(map[int32]bool, len(next))
+				for _, v := range next {
+					if inNext[v] {
+						t.Fatalf("p=%d local=%v cand=%v: %d is in the next frontier twice", p, local, asCand, v)
+					}
+					inNext[v] = true
 				}
-				if (open || (!local && res.Parent[v] != -1)) && !inNext[v] {
-					t.Fatalf("p=%d local=%v: %d is missing from the next frontier", p, local, v)
+				newly := 0
+				for v := int32(0); v < int32(n); v++ {
+					if res.Center[v] == -1 {
+						continue
+					}
+					if res.Parent[v] != -1 {
+						newly++
+					}
+					open := false
+					for _, w := range g.Neighbors(v) {
+						open = open || res.Center[w] == -1
+					}
+					if (open || (!local && res.Parent[v] != -1)) && !inNext[v] {
+						t.Fatalf("p=%d local=%v cand=%v: %d is missing from the next frontier", p, local, asCand, v)
+					}
 				}
-			}
-			if claimed != newly {
-				t.Fatalf("p=%d local=%v: step reports %d claims, %d vertices were claimed", p, local, claimed, newly)
+				if asCand {
+					for _, c := range centers {
+						if res.Center[c] != c || res.Parent[c] != -1 {
+							t.Fatalf("p=%d local=%v: candidate %d has center %d, parent %d", p, local, c, res.Center[c], res.Parent[c])
+						}
+						if w := g.Neighbors(c)[0]; res.Center[w] != c {
+							t.Fatalf("p=%d local=%v: candidate %d was not expanded: its leg %d has center %d", p, local, c, w, res.Center[w])
+						}
+					}
+					newly += len(centers)
+				}
+				if claimed != newly {
+					t.Fatalf("p=%d local=%v cand=%v: step reports %d claims, %d vertices were claimed", p, local, asCand, claimed, newly)
+				}
 			}
 		}
 	}
