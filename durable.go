@@ -57,7 +57,10 @@ const (
 )
 
 // Snapshot section IDs (persist.Section.ID). Frozen: renumbering breaks
-// every snapshot on disk.
+// every snapshot on disk. IDs 10 and 11 held a CSR copy of the block-cut
+// tree, which is now stored only as its parents (secBCPar); they are
+// retired, never written or read, and never reused, so a file written
+// before the retirement still restores.
 const (
 	secGraphOffsets uint32 = 1
 	secGraphAdj     uint32 = 2
@@ -68,10 +71,8 @@ const (
 	secArtPoints    uint32 = 7
 	secBCTCutNode   uint32 = 8
 	secBCTBlockOf   uint32 = 9
-	secBCTOffsets   uint32 = 10
-	secBCTAdj       uint32 = 11
 	secNodeOf       uint32 = 12
-	secBCPar        uint32 = 13
+	secBCPar        uint32 = 13 // core.BlockCutTree.Parent
 	secBCFirst      uint32 = 14
 	secBCLast       uint32 = 15
 	secBCDepth      uint32 = 16
@@ -172,10 +173,8 @@ func encodeSnapshot(snap *Snapshot) ([]byte, []persist.Section, error) {
 		{ID: secArtPoints, Data: r.ArticulationPoints()},
 		{ID: secBCTCutNode, Data: t.CutNode},
 		{ID: secBCTBlockOf, Data: t.BlockOf},
-		{ID: secBCTOffsets, Data: t.Offsets},
-		{ID: secBCTAdj, Data: t.Adj},
 		{ID: secNodeOf, Data: p.NodeOf},
-		{ID: secBCPar, Data: p.BCPar},
+		{ID: secBCPar, Data: t.Parent},
 		{ID: secBCFirst, Data: p.BCFirst},
 		{ID: secBCLast, Data: p.BCLast},
 		{ID: secBCDepth, Data: p.BCDepth},
@@ -269,14 +268,6 @@ func restoreSnapshot(m *persist.Mapping, meta *snapshotMeta) (*Snapshot, error) 
 		return nil, err
 	}
 	numNodes := meta.NumBlocks + len(artPoints)
-	bctOffsets, err := sec(secBCTOffsets, numNodes+1, "block-cut offsets")
-	if err != nil {
-		return nil, err
-	}
-	bctAdj, err := sec(secBCTAdj, -1, "block-cut adjacency")
-	if err != nil {
-		return nil, err
-	}
 	nodeOf, err := sec(secNodeOf, n, "node map")
 	if err != nil {
 		return nil, err
@@ -362,10 +353,13 @@ func restoreSnapshot(m *persist.Mapping, meta *snapshotMeta) (*Snapshot, error) 
 		inRange(nodeOf, -1, numNodes, "node map"),
 		inRange(bcFirst, 0, max(len(bcTour), 1), "bc tour first"),
 		inRange(bcLast, 0, max(len(bcTour), 1), "bc tour last"),
+		inRange(bcTour, 0, max(numNodes, 1), "bc tour depth"),
 		inRange(ecc, -1, numEcc, "2ecc label"),
 		inRange(brComp, 0, max(numEcc, 1), "bridge component"),
 		inRange(brFirst, 0, max(len(brTour), 1), "bridge tour first"),
-		validateCSR(bctOffsets, bctAdj, numNodes, "block-cut tree"),
+		inRange(brTour, 0, max(numEcc, 1), "bridge tour depth"),
+		validateForest(bcPar, bcDepth, "block-cut tree"),
+		validateForest(brPar, brDepth, "bridge forest"),
 	} {
 		if chk != nil {
 			return nil, chk
@@ -377,13 +371,11 @@ func restoreSnapshot(m *persist.Mapping, meta *snapshotMeta) (*Snapshot, error) 
 		Cuts:      artPoints,
 		CutNode:   cutNode,
 		BlockOf:   blockOf,
-		Offsets:   bctOffsets,
-		Adj:       bctAdj,
+		Parent:    bcPar,
 	}
 	res := core.RestoreResult(label, head, parent, labelCount, artPoints, meta.NumBCC, bct)
 	idx := bctree.FromParts(res, bctree.Parts{
 		NodeOf:      nodeOf,
-		BCPar:       bcPar,
 		BCFirst:     bcFirst,
 		BCLast:      bcLast,
 		BCDepth:     bcDepth,
@@ -418,25 +410,20 @@ func restoreSnapshot(m *persist.Mapping, meta *snapshotMeta) (*Snapshot, error) 
 	}, nil
 }
 
-// validateCSR checks a CSR (offsets, adj) over nodes vertices.
-func validateCSR(offsets, adj []int32, nodes int, what string) error {
-	if len(offsets) != nodes+1 {
-		return fmt.Errorf("fastbcc: snapshot restore: %s offsets have %d entries, want %d", what, len(offsets), nodes+1)
-	}
-	if nodes == 0 {
-		return nil
-	}
-	if offsets[0] != 0 || int(offsets[nodes]) != len(adj) {
-		return fmt.Errorf("fastbcc: snapshot restore: %s offsets do not close on adjacency", what)
-	}
-	for v := 0; v < nodes; v++ {
-		if offsets[v] > offsets[v+1] {
-			return fmt.Errorf("fastbcc: snapshot restore: %s offsets not monotone", what)
-		}
-	}
-	for _, w := range adj {
-		if w < 0 || int(w) >= nodes {
-			return fmt.Errorf("fastbcc: snapshot restore: %s adjacency target out of range", what)
+// validateForest checks that par is a rooted forest with node depths
+// depth, as the tour-walking queries assume: every parent in range, every
+// root at depth 0 and every other node one deeper than its parent. Depth
+// then falls by one at every step up, so there is no cycle, and every
+// walk toward a root ends at one.
+func validateForest(par, depth []int32, what string) error {
+	for v, p := range par {
+		switch {
+		case p < -1 || int(p) >= len(par):
+			return fmt.Errorf("fastbcc: snapshot restore: %s parent %d out of range [-1,%d)", what, p, len(par))
+		case p == -1 && depth[v] != 0:
+			return fmt.Errorf("fastbcc: snapshot restore: %s root %d at depth %d", what, v, depth[v])
+		case p != -1 && depth[v] != depth[p]+1:
+			return fmt.Errorf("fastbcc: snapshot restore: %s node %d at depth %d below a parent at depth %d", what, v, depth[v], depth[p])
 		}
 	}
 	return nil

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	fastbcc "repro"
@@ -37,12 +35,13 @@ import (
 // rebuild never mixes versions — and fails atomically: an invalid query
 // fails the batch with its index, no partial answers.
 
-// batchScratch is the pooled per-request state of the batch endpoint.
+// batchScratch is the pooled per-request state of the body endpoints.
 type batchScratch struct {
-	qs  []fastbcc.Query
-	as  []fastbcc.Answer
-	buf []byte
-	h   *fastbcc.Handle
+	call bodyCall
+	qs   []fastbcc.Query
+	as   []fastbcc.Answer
+	buf  []byte
+	h    *fastbcc.Handle
 }
 
 // jsonQuery is one query in the JSON batch encoding.
@@ -65,60 +64,23 @@ type jsonBatchResponse struct {
 	Answers []fastbcc.Answer `json:"answers"`
 }
 
-// wantsBinary decides the response encoding of an endpoint whose binary
-// codec is contentType: an explicit Accept for either type wins,
-// otherwise the response mirrors the request.
-func wantsBinary(r *http.Request, binaryReq bool, contentType string) bool {
-	accept := r.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, contentType):
-		return true
-	case strings.Contains(accept, "application/json"):
-		return false
-	}
-	return binaryReq
-}
-
 func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	sc := s.scratch.Get().(*batchScratch)
 	defer s.scratch.Put(sc)
+	c := &sc.call
+	c.open(w, r, "batch", wire.ContentType)
+	defer c.close(s)
 
-	binaryReq := strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType)
 	timeoutMS := 0
-	// Per-codec byte accounting: the body reader counts what the decoder
-	// consumed; the response side counts the encoded frame (binary) or
-	// the bytes the instrumented writer saw (JSON).
-	reqCodec, respCodec := "json", "json"
-	if binaryReq {
-		reqCodec = "binary"
-	}
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, maxBodyBytes)}
-	rec, _ := w.(*statusRecorder)
-	var respStart int64
-	if rec != nil {
-		respStart = rec.bytes
-	}
-	defer func() {
-		s.metrics.reqBytes["batch"][reqCodec].Add(body.n)
-		if rec != nil {
-			s.metrics.resBytes["batch"][respCodec].Add(rec.bytes - respStart)
-		}
-	}()
-	if binaryReq {
+	if c.binary {
 		var err error
-		sc.qs, err = wire.ReadRequest(body, sc.qs)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, wire.ErrTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			s.writeError(w, status, "%v", err)
+		if sc.qs, err = wire.ReadRequest(&c.body, sc.qs); err != nil {
+			s.readFailed(w, err)
 			return
 		}
 	} else {
 		var req jsonBatchRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		if err := json.NewDecoder(&c.body).Decode(&req); err != nil {
 			s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
@@ -138,27 +100,17 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			sc.qs = append(sc.qs, fastbcc.Query{Op: op, U: jq.U, V: jq.V, X: jq.X})
 		}
 	}
-	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
-		ms, err := strconv.Atoi(raw)
-		if err != nil || ms < 0 {
-			s.writeError(w, http.StatusBadRequest, "bad timeout_ms %q", raw)
-			return
-		}
-		timeoutMS = ms
+	ctx, cancel, ok := s.bodyContext(w, r, timeoutMS)
+	if !ok {
+		return
 	}
-
-	ctx := r.Context()
-	if timeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
-		defer cancel()
-	}
+	defer cancel()
 
 	// One reservation for the whole batch, on the pooled epoch handle.
 	if sc.h == nil {
 		sc.h = s.store.NewHandle()
 	}
-	snap, err := sc.h.Acquire(name)
+	snap, err := sc.h.Acquire(c.name)
 	if err != nil {
 		status := http.StatusNotFound
 		if errors.Is(err, fastbcc.ErrStoreClosed) {
@@ -173,7 +125,7 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	sc.as, err = snap.QueryBatch(ctx, sc.qs, sc.as)
 	if took := time.Since(q0); s.slowQuery > 0 && took >= s.slowQuery {
 		s.metrics.slow.Inc()
-		s.log.Warn("slow batch", "graph", name, "version", snap.Version,
+		s.log.Warn("slow batch", "graph", c.name, "version", snap.Version,
 			"queries", len(sc.qs), "took", took)
 	}
 	if err != nil {
@@ -188,14 +140,9 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if wantsBinary(r, binaryReq, wire.ContentType) {
-		respCodec = "binary"
+	if wantsBinary(r, c.binary, wire.ContentType) {
 		sc.buf = wire.AppendResponse(sc.buf[:0], snap.Version, sc.as)
-		w.Header().Set("Content-Type", wire.ContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
-		if _, err := w.Write(sc.buf); err != nil {
-			s.log.Warn("writing batch response", "graph", name, "err", err)
-		}
+		c.writeFrame(s, w, sc.buf)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, jsonBatchResponse{

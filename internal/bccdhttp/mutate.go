@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
 	fastbcc "repro"
 	"repro/internal/wire"
@@ -72,44 +69,23 @@ func (s *server) writeMutationError(w http.ResponseWriter, err error) {
 }
 
 func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	sc := s.scratch.Get().(*batchScratch)
 	defer s.scratch.Put(sc)
+	c := &sc.call
+	c.open(w, r, "mutate", wire.MutationContentType)
+	defer c.close(s)
 
-	binaryReq := strings.HasPrefix(r.Header.Get("Content-Type"), wire.MutationContentType)
 	timeoutMS := 0
-	reqCodec, respCodec := "json", "json"
-	if binaryReq {
-		reqCodec = "binary"
-	}
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, maxBodyBytes)}
-	rec, _ := w.(*statusRecorder)
-	var respStart int64
-	if rec != nil {
-		respStart = rec.bytes
-	}
-	defer func() {
-		s.metrics.reqBytes["mutate"][reqCodec].Add(body.n)
-		if rec != nil {
-			s.metrics.resBytes["mutate"][respCodec].Add(rec.bytes - respStart)
-		}
-	}()
-
 	var adds, dels []fastbcc.Edge
-	if binaryReq {
+	if c.binary {
 		var err error
-		adds, dels, err = wire.ReadMutation(body)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, wire.ErrTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			s.writeError(w, status, "%v", err)
+		if adds, dels, err = wire.ReadMutation(&c.body); err != nil {
+			s.readFailed(w, err)
 			return
 		}
 	} else {
 		var req jsonMutationRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		if err := json.NewDecoder(&c.body).Decode(&req); err != nil {
 			s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
@@ -132,43 +108,28 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		}
 		adds, dels = toEdges(req.Add), toEdges(req.Del)
 	}
-	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
-		ms, err := strconv.Atoi(raw)
-		if err != nil || ms < 0 {
-			s.writeError(w, http.StatusBadRequest, "bad timeout_ms %q", raw)
-			return
-		}
-		timeoutMS = ms
+	ctx, cancel, ok := s.bodyContext(w, r, timeoutMS)
+	if !ok {
+		return
 	}
+	defer cancel()
 
-	ctx := r.Context()
-	if timeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-
-	res, err := s.store.ApplyBatch(ctx, name, adds, dels)
+	res, err := s.store.ApplyBatch(ctx, c.name, adds, dels)
 	if err != nil {
 		s.writeMutationError(w, err)
 		return
 	}
-	s.log.Info("mutate", "graph", name, "version", res.Version,
+	s.log.Info("mutate", "graph", c.name, "version", res.Version,
 		"fast", res.Fast, "collapsed", res.Collapsed, "queued", res.Queued,
 		"pending", res.Pending)
 
-	if wantsBinary(r, binaryReq, wire.MutationContentType) {
-		respCodec = "binary"
+	if wantsBinary(r, c.binary, wire.MutationContentType) {
 		sc.buf = wire.AppendMutationResult(sc.buf[:0], res)
-		w.Header().Set("Content-Type", wire.MutationContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
-		if _, err := w.Write(sc.buf); err != nil {
-			s.log.Warn("writing mutation response", "graph", name, "err", err)
-		}
+		c.writeFrame(s, w, sc.buf)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, jsonMutationResponse{
-		Graph:      name,
+		Graph:      c.name,
 		Version:    res.Version,
 		Fast:       res.Fast,
 		Collapsed:  res.Collapsed,

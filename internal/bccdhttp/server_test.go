@@ -1,6 +1,7 @@
 package bccdhttp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	fastbcc "repro"
+	"repro/internal/wire"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -344,5 +346,67 @@ func TestAllocGuardScalarSeparates(t *testing.T) {
 	t.Logf("scalar separates: %.1f allocs/request", avg)
 	if avg > 13 {
 		t.Fatalf("scalar separates: %.1f allocs/request, want <= 13", avg)
+	}
+}
+
+// replayBody is a request body that can be rewound, so an allocation
+// count over a reused POST request covers the handler alone.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// bodyRequestAllocs returns the allocations of one POST of body to path
+// with Content-Type ct through the in-process handler of a store serving
+// RMAT-12-8 as "guard".
+func bodyRequestAllocs(t *testing.T, path, ct string, body []byte) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	store := fastbcc.NewStore(2)
+	defer store.Close()
+	snap, err := store.Load(context.Background(), "guard", fastbcc.GenerateRMAT(12, 8, 0xBC), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	h := NewHandler(store, Config{})
+	rb := &replayBody{}
+	req := httptest.NewRequest(http.MethodPost, path, rb)
+	req.Header.Set("Content-Type", ct)
+	w := &discardWriter{h: make(http.Header)}
+	avg := testing.AllocsPerRun(200, func() {
+		rb.Reset(body)
+		w.code = 0
+		h.ServeHTTP(w, req)
+	})
+	if w.code != 0 && w.code != http.StatusOK {
+		t.Fatalf("POST %s: status %d", path, w.code)
+	}
+	return avg
+}
+
+// TestAllocGuardBinaryBatch bounds the allocations of a one-query binary
+// batch through the in-process handler: 8 at GOMAXPROCS 1-8, whose
+// bound is that plus 10%. The JSON codec of the same batch takes 20.
+func TestAllocGuardBinaryBatch(t *testing.T) {
+	frame := wire.AppendRequest(nil, []fastbcc.Query{{Op: fastbcc.OpConnected, U: 0, V: 6}})
+	avg := bodyRequestAllocs(t, "/v1/graphs/guard/query/batch", wire.ContentType, frame)
+	t.Logf("binary batch: %.1f allocs/request", avg)
+	if avg > 8.8 {
+		t.Fatalf("binary batch: %.1f allocs/request, want <= 8.8", avg)
+	}
+}
+
+// TestAllocGuardBinaryMutation bounds the allocations of an empty binary
+// mutation, which reaches the store and answers its version, through the
+// in-process handler: 9 at GOMAXPROCS 1-8, whose bound is that plus 10%.
+// The JSON codec of the same mutation takes 18.
+func TestAllocGuardBinaryMutation(t *testing.T) {
+	frame := wire.AppendMutation(nil, nil, nil)
+	avg := bodyRequestAllocs(t, "/v1/graphs/guard/edges", wire.MutationContentType, frame)
+	t.Logf("binary mutation: %.1f allocs/request", avg)
+	if avg > 9.9 {
+		t.Fatalf("binary mutation: %.1f allocs/request, want <= 9.9", avg)
 	}
 }

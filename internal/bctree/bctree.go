@@ -14,18 +14,20 @@
 //     separate u from v, and whether they are 2-edge-connected.
 //
 // Construction is parallel and reuses the pipeline's own machinery. The
-// decomposition already fixes both forests' parents. A block hangs below
-// its head's cut node, and a cut vertex below the block of its own label.
-// The 2ECC labels come from one union-find pass over the spanning forest's
-// parent edges (core.Result.TwoECCBridgesIn), whose bridge test marks
-// every bridge on the way, and each 2ECC hangs across the bridge above its
-// top vertex. So parallel passes over labels and vertices write every
-// parent once, with no edge list, connectivity search or sort, and the
-// Euler tour technique (etour.FromParentsIn) tours both forests straight
-// from those parents. Per tree-node depths come from a parallel prefix sum
-// over the tour's ±1 depth deltas, and lowest-common-ancestor queries
-// reduce to a range minimum over the tour-ordered depth array
-// (internal/rmq) — the same structure the Tagging step uses for low/high.
+// decomposition already fixes both forests' parents. The block-cut
+// forest is core.BlockCutTree itself, which keeps its edges only as
+// parent pointers: a block hangs below its head's cut node, and a cut
+// vertex below the block of its own label. The 2ECC labels come from one
+// union-find pass over the spanning forest's parent edges
+// (core.Result.TwoECCBridgesIn), whose bridge test marks every bridge on
+// the way, and each 2ECC hangs across the bridge above its top vertex,
+// written by one parallel pass over the vertices. So no edge list,
+// connectivity search or sort is needed, and the Euler tour technique
+// (etour.FromParentsIn) tours both forests straight from their parents.
+// Per tree-node depths come from a parallel prefix sum over the tour's ±1
+// depth deltas, and lowest-common-ancestor queries reduce to a range
+// minimum over the tour-ordered depth array (internal/rmq) — the same
+// structure the Tagging step uses for low/high.
 // Total work is O(n + m); the index retains O(n) words and never aliases
 // scratch memory.
 //
@@ -51,13 +53,12 @@ type Index struct {
 	res *core.Result
 	t   *core.BlockCutTree
 
-	// Block-cut forest, rooted. Node ids follow core.BlockCutTree: blocks
-	// first, then cuts. nodeOf maps a vertex to the node representing it
-	// on tree paths (its cut node if it is an articulation point, else
-	// the node of the single block containing it), or -1 for vertices in
-	// no block (isolated vertices).
+	// Block-cut forest, rooted by t.Parent. Node ids follow
+	// core.BlockCutTree: blocks first, then cuts. nodeOf maps a vertex to
+	// the node representing it on tree paths (its cut node if it is an
+	// articulation point, else the node of the single block containing
+	// it), or -1 for vertices in no block (isolated vertices).
 	nodeOf      []int32
-	bcPar       []int32
 	bcFirst     []int32
 	bcLast      []int32
 	bcDepth     []int32
@@ -99,12 +100,11 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 	x := &Index{res: r, t: r.BlockCutTree()}
 	t := x.t
 
-	// ---- Block-cut forest: parents, tour, depths, LCA -------------------
-	// A block whose head is not a cut vertex (a spanning root heading only
-	// this block) and the cut node of a spanning root are the trees' roots.
+	// ---- Block-cut forest: tour, depths, LCA ----------------------------
 	// nodeOf: cut vertices map to their cut node, other non-roots to the
-	// block of their label, and a root that is not a cut vertex to the one
-	// block it heads (-1 when it heads none: an isolated vertex).
+	// block of their label, and a spanning root that is not a cut vertex
+	// to the one block it heads, a root of t (-1 when it heads none: an
+	// isolated vertex).
 	x.nodeOf = make([]int32, n)
 	e.For(n, func(v int) {
 		switch {
@@ -116,25 +116,14 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 			x.nodeOf[v] = -1
 		}
 	})
-	x.bcPar = make([]int32, t.NumNodes())
 	e.For(r.NumLabels, func(l int) {
-		b := t.BlockOf[l]
-		if b == -1 {
-			return
-		}
-		h := r.Head[l]
-		x.bcPar[b] = t.CutNode[h]
-		if t.CutNode[h] == -1 {
-			x.nodeOf[h] = b
+		if b := t.BlockOf[l]; b != -1 && t.Parent[b] == -1 {
+			x.nodeOf[r.Head[l]] = b
 		}
 	})
-	e.For(len(t.Cuts), func(i int) {
-		x.bcPar[t.NumBlocks+i] = -1
-		if v := t.Cuts[i]; r.Parent[v] != -1 {
-			x.bcPar[t.NumBlocks+i] = t.BlockOf[r.Label[v]]
-		}
-	})
-	rt := etour.FromParentsIn(e, x.bcPar)
+	// t.Parent is the Result's, shared by every index built on it and
+	// mapped read-only in a recovered snapshot; FromParentsIn only reads it.
+	rt := etour.FromParentsIn(e, t.Parent)
 	x.bcFirst, x.bcLast = rt.First, rt.Last
 	x.bcTourDepth = tourDepths(e, rt)
 	x.bcDepth = nodeDepths(e, rt.First, x.bcTourDepth)
@@ -343,11 +332,11 @@ func (x *Index) CutsOnPath(u, v int32) []int32 {
 	}
 	for x.bcDepth[a] > dl {
 		collect(a)
-		a = x.bcPar[a]
+		a = x.t.Parent[a]
 	}
 	for x.bcDepth[b] > dl {
 		collect(b)
-		b = x.bcPar[b]
+		b = x.t.Parent[b]
 	}
 	collect(a) // a == b == the LCA
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

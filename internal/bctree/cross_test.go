@@ -353,6 +353,62 @@ func TestConcurrentQueries(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentBuildsShareResult builds two indexes over one shared
+// Result at once while a third goroutine reads the block-cut tree's
+// parents, as the snapshot persister does. Under -race this proves NewIn
+// only reads the Result, whose arrays a recovered snapshot maps
+// read-only. The input has more block-cut trees than one loop block
+// holds, so the loops over the roots split.
+func TestConcurrentBuildsShareResult(t *testing.T) {
+	g := gen.SampledGrid(120, 120, 0.4, 3)
+	e := parallel.NewExec(4)
+	defer e.Close()
+	r := core.BCC(g, core.Options{Seed: 11, Exec: e})
+	par := slices.Clone(r.BlockCutTree().Parent)
+	var xs [2]*Index
+	var roots int
+	var wg sync.WaitGroup
+	for i := range xs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			xs[i] = NewIn(e, g, r)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, p := range r.BlockCutTree().Parent {
+			if p == -1 {
+				roots++
+			}
+		}
+	}()
+	wg.Wait()
+	if !slices.Equal(r.BlockCutTree().Parent, par) {
+		t.Fatal("NewIn changed the block-cut tree's parents")
+	}
+	if roots <= parallel.DefaultGrain {
+		t.Fatalf("%d block-cut roots, want more than %d", roots, parallel.DefaultGrain)
+	}
+	a, b := xs[0].Parts(), xs[1].Parts()
+	for _, c := range []struct {
+		name string
+		a, b []int32
+	}{
+		{"NodeOf", a.NodeOf, b.NodeOf},
+		{"BCFirst", a.BCFirst, b.BCFirst},
+		{"BCDepth", a.BCDepth, b.BCDepth},
+	} {
+		if !slices.Equal(c.a, c.b) {
+			t.Errorf("%s differs between the two concurrent builds", c.name)
+		}
+	}
+	if a.NumBridges != b.NumBridges {
+		t.Errorf("%d and %d bridges from the two concurrent builds", a.NumBridges, b.NumBridges)
+	}
+}
+
 // pathRef answers naiveRef's path queries in O(n + m) per pair, for
 // graphs too large for one BFS per removed vertex or edge. Whatever
 // separates u from v lies on every u–v path, so on one BFS path

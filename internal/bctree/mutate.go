@@ -27,11 +27,11 @@ func (x *Index) PathBlockLabels(u, v int32) []int32 {
 	}
 	for x.bcDepth[a] > dl {
 		collect(a)
-		a = x.bcPar[a]
+		a = x.t.Parent[a]
 	}
 	for x.bcDepth[b] > dl {
 		collect(b)
-		b = x.bcPar[b]
+		b = x.t.Parent[b]
 	}
 	collect(a) // a == b == the LCA
 	if len(nodes) < 2 {

@@ -13,7 +13,6 @@ import (
 // rebuilds them instead of paying their ~2×log(m) footprint on disk.
 type Parts struct {
 	NodeOf      []int32
-	BCPar       []int32
 	BCFirst     []int32
 	BCLast      []int32
 	BCDepth     []int32
@@ -35,7 +34,6 @@ type Parts struct {
 func (x *Index) Parts() Parts {
 	return Parts{
 		NodeOf:      x.nodeOf,
-		BCPar:       x.bcPar,
 		BCFirst:     x.bcFirst,
 		BCLast:      x.bcLast,
 		BCDepth:     x.bcDepth,
@@ -62,7 +60,6 @@ func FromParts(r *core.Result, p Parts) *Index {
 		res:         r,
 		t:           r.BlockCutTree(),
 		nodeOf:      p.NodeOf,
-		bcPar:       p.BCPar,
 		bcFirst:     p.BCFirst,
 		bcLast:      p.BCLast,
 		bcDepth:     p.BCDepth,

@@ -44,3 +44,32 @@ func BenchmarkTwoECCIn(b *testing.B) {
 		r.TwoECCIn(e, g)
 	}
 }
+
+// BenchmarkTopology measures what a serving build spends after Last-CC,
+// traced as core.topology_ms: the articulation points and the block-cut
+// tree, built afresh each iteration, on the seed-7 inputs of bccperf's
+// social (RMAT-16-8) and grid (360x360 sampled grid, p = 0.6) workloads.
+// Loops run on GOMAXPROCS workers, so -cpu sets the worker count.
+func BenchmarkTopology(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		gen  func() *graph.Graph
+	}{
+		{"rmat", func() *graph.Graph { return gen.RMAT(16, 8, 7) }},
+		{"grid", func() *graph.Graph { return gen.SampledGrid(360, 360, 0.6, 7) }},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			// bccperf generates at 2 workers, and the generators' output
+			// depends on their block split.
+			old := parallel.SetProcs(2)
+			g := in.gen()
+			parallel.SetProcs(old)
+			r := BCC(g, Options{Seed: 7})
+			e := parallel.NewExec(runtime.GOMAXPROCS(0))
+			defer e.Close()
+			for b.Loop() {
+				buildBlockCutTree(e, r, computeArticulationPoints(e, r))
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/prim"
 )
@@ -13,10 +12,13 @@ import (
 // decomposition, planarity testing, network robustness) and for the
 // path-query index in internal/bctree.
 //
-// The tree is stored flat: block nodes get ids 0..NumBlocks-1 (in dense
-// label order), cut nodes follow, and adjacency is one CSR over all nodes.
-// Every array is dense int32 — no maps — so construction is a handful of
-// parallel passes.
+// The forest is stored as the parent pointers the decomposition already
+// fixes, rooted where the spanning forest is: a block hangs below the cut
+// node of its head, and a cut vertex below the block of its own label.
+// Block nodes get ids 0..NumBlocks-1 (in dense label order) and cut nodes
+// follow. Every array is dense int32 with O(n) entries, like the paper's
+// label/head representation of the blocks, so construction is a handful
+// of parallel passes and no edge list or adjacency is ever built.
 type BlockCutTree struct {
 	// NumBlocks is the number of block nodes (ids 0..NumBlocks-1).
 	NumBlocks int
@@ -29,25 +31,16 @@ type BlockCutTree struct {
 	// BlockOf maps a dense label (Result.Label) to its block node id, or
 	// -1 for root-singleton labels that are not blocks.
 	BlockOf []int32
-	// Offsets and Adj are the CSR adjacency over all NumNodes() tree
-	// nodes: Adj[Offsets[x]:Offsets[x+1]] lists the neighbors of node x,
-	// sorted ascending. Every edge joins a block node and a cut node.
-	Offsets []int32
-	Adj     []int32
+	// Parent is the parent of every one of the NumNodes() tree nodes, or
+	// -1 for a tree root. A block's parent is its head's cut node (-1 when
+	// the head is a spanning root that heads only this block); a cut
+	// node's parent is the block of its vertex's label (-1 when the vertex
+	// is a spanning root). Every edge joins a block node and a cut node.
+	Parent []int32
 }
 
 // NumNodes returns the total node count (blocks + cuts).
-func (t *BlockCutTree) NumNodes() int { return len(t.Offsets) - 1 }
-
-// Neighbors returns the tree neighbors of node x (sorted ascending).
-func (t *BlockCutTree) Neighbors(x int32) []int32 {
-	return t.Adj[t.Offsets[x]:t.Offsets[x+1]]
-}
-
-// Degree returns the number of tree neighbors of node x.
-func (t *BlockCutTree) Degree(x int32) int {
-	return int(t.Offsets[x+1] - t.Offsets[x])
-}
+func (t *BlockCutTree) NumNodes() int { return t.NumBlocks + len(t.Cuts) }
 
 // BlockCutTree derives the block-cut tree from the decomposition. The
 // tree is computed on first use (together with ArticulationPoints) and
@@ -62,7 +55,7 @@ func (r *Result) BlockCutTree() *BlockCutTree {
 
 // buildBlockCutTree is the one construction pass behind BlockCutTree:
 // dense block ids by a prefix sum over labels, cut ids by rank in cuts,
-// and the adjacency CSR via the parallel atomic-free graph builder.
+// then one pass over the labels and one over the cuts write every parent.
 func buildBlockCutTree(e *parallel.Exec, r *Result, cuts []int32) *BlockCutTree {
 	n := len(r.Label)
 	t := &BlockCutTree{
@@ -89,64 +82,57 @@ func buildBlockCutTree(e *parallel.Exec, r *Result, cuts []int32) *BlockCutTree 
 		t.CutNode[cuts[i]] = int32(t.NumBlocks + i)
 	})
 
-	// Tree edges, duplicate-free by construction: an articulation point a
-	// belongs to the blocks it heads (one link per such label) and, when a
-	// is not a root, to the block of its own label (one link per cut
-	// vertex). The two sources never collide: a head link (B_l, cut(h))
-	// equals a member link (B_{Label[v]}, cut(v)) only if v == h and
-	// Label[h] == l, impossible because a head always lies outside the
-	// component it heads (Label[Head[l]] != l).
-	headLinks := prim.PackIndicesIn(e, r.NumLabels, func(l int) bool {
-		h := r.Head[l]
-		return h != -1 && t.CutNode[h] != -1
+	// An articulation point a belongs to the blocks it heads and, when a
+	// is not a spanning root, to the block of its own label. Rooting the
+	// forest where the spanning forest is rooted makes the first kind of
+	// link point up from the block and the second up from the cut node,
+	// so every node has at most one parent link.
+	t.Parent = make([]int32, t.NumNodes())
+	e.For(r.NumLabels, func(l int) {
+		if b := t.BlockOf[l]; b != -1 {
+			t.Parent[b] = t.CutNode[r.Head[l]]
+		}
 	})
-	memberLinks := prim.PackIndicesIn(e, n, func(v int) bool {
-		return t.CutNode[v] != -1 && r.Parent[v] != -1
+	e.For(len(cuts), func(i int) {
+		t.Parent[t.NumBlocks+i] = -1
+		if v := cuts[i]; r.Parent[v] != -1 {
+			t.Parent[t.NumBlocks+i] = t.BlockOf[r.Label[v]]
+		}
 	})
-	links := make([]graph.Edge, len(headLinks)+len(memberLinks))
-	e.For(len(headLinks), func(i int) {
-		l := headLinks[i]
-		links[i] = graph.Edge{U: t.BlockOf[l], W: t.CutNode[r.Head[l]]}
-	})
-	base := len(headLinks)
-	e.For(len(memberLinks), func(i int) {
-		v := memberLinks[i]
-		links[base+i] = graph.Edge{U: t.BlockOf[r.Label[v]], W: t.CutNode[v]}
-	})
-	bg, err := graph.FromEdgesIn(e, t.NumBlocks+len(cuts), links, nil)
-	if err != nil {
-		panic("core: block-cut tree edges out of range: " + err.Error())
-	}
-	t.Offsets, t.Adj = bg.Offsets, bg.Adj
 	return t
 }
 
-// IsTree verifies the block-cut structure is a forest: #edges == #nodes -
-// #trees. Used by tests and as a sanity check.
+// IsTree verifies the block-cut structure is a forest whose edges join a
+// block node to a cut node: every parent is in range and of the other
+// kind, and following parents from any node reaches a root. Used by
+// tests and as a sanity check.
 func (t *BlockCutTree) IsTree() bool {
 	nodes := t.NumNodes()
-	edges := len(t.Adj) / 2
-	// Count connected components of the tree with a scratch DFS.
-	visited := make([]bool, nodes)
-	comps := 0
-	stack := []int32{}
-	for s := 0; s < nodes; s++ {
-		if visited[s] {
-			continue
-		}
-		comps++
-		visited[s] = true
-		stack = append(stack[:0], int32(s))
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range t.Neighbors(v) {
-				if !visited[w] {
-					visited[w] = true
-					stack = append(stack, w)
-				}
-			}
+	if len(t.Parent) != nodes {
+		return false
+	}
+	for x, p := range t.Parent {
+		if p < -1 || int(p) >= nodes || p != -1 && (x < t.NumBlocks) == (int(p) < t.NumBlocks) {
+			return false
 		}
 	}
-	return edges == nodes-comps
+	// state: 0 unseen, 1 on the current upward walk, 2 known to reach a root.
+	state := make([]uint8, nodes)
+	var walk []int32
+	for s := range t.Parent {
+		walk = walk[:0]
+		x := int32(s)
+		for x != -1 && state[x] == 0 {
+			state[x] = 1
+			walk = append(walk, x)
+			x = t.Parent[x]
+		}
+		if x != -1 && state[x] == 1 {
+			return false // the walk came back to itself: a cycle
+		}
+		for _, y := range walk {
+			state[y] = 2
+		}
+	}
+	return true
 }

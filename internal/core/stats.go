@@ -1,30 +1,19 @@
 package core
 
 import (
-	"sync/atomic"
-
-	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/prim"
 )
 
 // BlockSizes returns the number of vertices of every block, indexed by
-// dense label. Labels that are not blocks (root singletons) get size 0.
-// Computed in parallel with atomic per-label counters.
+// dense label: LabelSizes() plus one for the head. Labels that are not
+// blocks (root singletons) get size 0.
 func (r *Result) BlockSizes() []int32 {
+	count := r.LabelSizes()
 	sizes := make([]int32, r.NumLabels)
-	parallel.ForBlock(len(r.Label), parallel.DefaultGrain, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if r.Parent[v] != -1 {
-				atomic.AddInt32(&sizes[r.Label[v]], 1)
-			}
-		}
-	})
 	parallel.For(r.NumLabels, func(l int) {
 		if r.Head[l] != -1 {
-			sizes[l]++ // the component head
-		} else {
-			sizes[l] = 0 // root singleton, not a block
+			sizes[l] = count[l] + 1
 		}
 	})
 	return sizes
@@ -55,47 +44,4 @@ func (r *Result) Block(label int32) []int32 {
 	out := append([]int32{r.Head[label]}, members...)
 	sortInt32(out)
 	return out
-}
-
-// NumArticulationPoints counts articulation points without materializing
-// them (parallel count).
-func (r *Result) NumArticulationPoints() int {
-	n := len(r.Label)
-	blocksOf := make([]int32, n)
-	for _, h := range r.Head {
-		if h != -1 {
-			blocksOf[h]++
-		}
-	}
-	return prim.CountOnes(n, func(v int) bool {
-		c := blocksOf[v]
-		if r.Parent[v] != -1 {
-			c++
-		}
-		return c >= 2
-	})
-}
-
-// NumBridges counts bridge edges of g without materializing them.
-func (r *Result) NumBridges(g *graph.Graph) int {
-	n := len(r.Label)
-	count := make([]int32, r.NumLabels)
-	for v := 0; v < n; v++ {
-		if r.Parent[v] != -1 {
-			count[r.Label[v]]++
-		}
-	}
-	return prim.CountOnes(n, func(v int) bool {
-		p := r.Parent[v]
-		if p == -1 || count[r.Label[v]] != 1 {
-			return false
-		}
-		mult := 0
-		for _, x := range g.Neighbors(int32(v)) {
-			if x == p {
-				mult++
-			}
-		}
-		return mult == 1
-	})
 }

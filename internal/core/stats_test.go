@@ -86,11 +86,11 @@ func TestCountsMatchMaterialized(t *testing.T) {
 		}
 		g := graph.MustFromEdges(n, edges)
 		res := BCC(g, Options{Seed: uint64(trial)})
-		if got, want := res.NumArticulationPoints(), len(res.ArticulationPoints()); got != want {
-			t.Fatalf("trial %d: NumArticulationPoints %d != %d", trial, got, want)
-		}
-		if got, want := res.NumBridges(g), len(res.Bridges(g)); got != want {
-			t.Fatalf("trial %d: NumBridges %d != %d", trial, got, want)
+		sizes := res.BlockSizes()
+		for l := int32(0); int(l) < res.NumLabels; l++ {
+			if got, want := sizes[l], int32(len(res.Block(l))); got != want {
+				t.Fatalf("trial %d: BlockSizes()[%d] = %d, Block has %d vertices", trial, l, got, want)
+			}
 		}
 	}
 }

@@ -109,16 +109,19 @@ func RootIn(e *parallel.Exec, n int, forest []graph.Edge, comp []int32, sc *grap
 	// vertex) has an empty chain.
 	roots := prim.PackIndicesArena(e, n, func(v int) bool { return comp[v] == int32(v) }, sc)
 	heads := sc.GetInt32(len(roots))
+	parent := make([]int32, n)
 	e.For(len(roots), func(t int) {
+		v := roots[t]
+		parent[v] = -1
 		heads[t] = -1
-		if v := roots[t]; off[v] < off[v+1] {
+		if off[v] < off[v+1] {
 			heads[t] = off[v]
 		}
 	})
 	slot, base, tourLen := rankTours(e, next, heads, nil, sc)
 
 	r := &Rooted{
-		Parent:   make([]int32, n),
+		Parent:   parent,
 		First:    sc.GetInt32(n),
 		Last:     sc.GetInt32(n),
 		Tour:     sc.GetInt32(int(tourLen)),
@@ -144,8 +147,9 @@ func RootIn(e *parallel.Exec, n int, forest []graph.Edge, comp []int32, sc *grap
 // FromParentsIn builds the Euler tour of the forest given by parent
 // pointers (parent[v] = -1 for a root) on the execution context e (nil =
 // the process-global default). parent must describe a forest; it becomes
-// the result's Parent as is. Trees are laid out in increasing root order,
-// and Root is filled. Temporaries are plain allocations.
+// the result's Parent as is and is only read, so it may be shared or
+// read-only memory. Trees are laid out in increasing root order, and Root
+// is filled. Temporaries are plain allocations.
 func FromParentsIn(e *parallel.Exec, parent []int32) *Rooted {
 	n := len(parent)
 	// Children grouped by parent, in increasing id order within a group;
@@ -209,7 +213,7 @@ func FromParentsIn(e *parallel.Exec, parent []int32) *Rooted {
 
 // placeRoots writes each tree's root: tree t's segment starts at base[t]
 // and ends where the next one starts, and its root is the first and last
-// vertex on it.
+// vertex on it. It leaves Parent alone.
 func (r *Rooted) placeRoots(e *parallel.Exec, roots, base []int32, tourLen int32) {
 	e.For(len(roots), func(t int) {
 		end := tourLen
@@ -217,7 +221,6 @@ func (r *Rooted) placeRoots(e *parallel.Exec, roots, base []int32, tourLen int32
 			end = base[t+1]
 		}
 		v := roots[t]
-		r.Parent[v] = -1
 		r.First[v], r.Last[v] = base[t], end-1
 		r.Tour[base[t]] = v
 	})
