@@ -7,16 +7,25 @@
 // edges and 5.5% of the 360×360 sampled grid's, where starting vertex v
 // at round ⌊δ_v⌋ cut 84.3% and 40.9% (see the ldd package doc). The
 // cluster trees' edges, n minus the number of clusters, are unioned
-// first, then the cut edges. FAST-BCC runs it once, on the input graph
-// (First-CC), producing a spanning forest as a by-product; Last-CC streams
-// the skeleton arcs into a union-find of its own. The edge Filter restricts
-// a run to a subgraph without materializing it: the GBBS-style baseline
-// (internal/bfsbcc) runs on its implicit skeleton that way. The
-// hash-bag/local-search LDD optimization the paper ablates in Fig. 6 is
-// the LocalSearch toggle.
+// first, then the cut edges. The cut-edge walk never reads the arcs of
+// the dominant cluster, the one DominantSet finds holding the most arcs:
+// a cut edge with one end in it is unioned from its other end, every
+// other cut edge from its smaller end. Afforest (Sutton, Ben-Nun and
+// Barak, IPDPS 2018) and ConnectIt (Dhulipala, Hong and Shun, VLDB 2020)
+// finish connectivity by skipping the most frequent component the same
+// way. On the seed-7 RMAT-16-8 at seed 0 the largest cluster holds
+// 100.0% of the arcs to one decimal (one edge is cut), on the 360×360 grid
+// 2.8%. FAST-BCC runs it once, on the input graph (First-CC), producing a
+// spanning forest as a by-product; Last-CC streams the skeleton arcs into
+// a union-find of its own and skips the set DominantSet picks there too.
+// The edge Filter restricts a run to a subgraph without materializing it:
+// the GBBS-style baseline (internal/bfsbcc) runs on its implicit skeleton
+// that way. The hash-bag/local-search LDD optimization the paper ablates
+// in Fig. 6 is the LocalSearch toggle.
 package conn
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -61,16 +70,25 @@ type Result struct {
 
 // Connectivity computes the connected components of g under opt.
 func Connectivity(g *graph.Graph, opt Options) *Result {
-	n := int(g.N)
-	sc := opt.Scratch
-	e := opt.Exec
 	dec := ldd.Decompose(g, ldd.Options{
 		Seed:        opt.Seed,
 		LocalSearch: opt.LocalSearch,
 		Filter:      opt.Filter,
-		Scratch:     sc,
-		Exec:        e,
+		Scratch:     opt.Scratch,
+		Exec:        opt.Exec,
 	})
+	res := joinClusters(g, dec, DominantSet(g, dec.Center), opt)
+	opt.Scratch.PutInt32(dec.Center, dec.Parent)
+	return res
+}
+
+// joinClusters unions the clusters of dec along their cluster trees, then
+// unions the cut edges (endpoints in different clusters), never reading
+// the arcs of the cluster whose center is big (-1 skips none).
+func joinClusters(g *graph.Graph, dec *ldd.Result, big int32, opt Options) *Result {
+	n := int(g.N)
+	sc := opt.Scratch
+	e := opt.Exec
 	ufbuf := sc.GetInt32(n)
 	e.Iota(ufbuf, 0)
 	u := uf.Wrap(ufbuf)
@@ -81,7 +99,7 @@ func Connectivity(g *graph.Graph, opt Options) *Result {
 	// cursor's cache line back and forth beside every union (see ldd's
 	// expandOneHop for the measurement). With one worker the loops run
 	// inline, so the sequential edge order is cluster trees first (by
-	// decreasing child), then cross edges.
+	// decreasing child), then cut edges.
 	forest, cur := forestBuf(sc, n, opt.WantForest)
 	// Cluster parent edges connect each cluster; they are tree edges by
 	// construction (each union merges two distinct sets regardless of
@@ -102,17 +120,74 @@ func Connectivity(g *graph.Graph, opt Options) *Result {
 		}
 		out.Flush()
 	})
-	// Union cut edges (endpoints in different clusters); the edges whose
-	// union merged two sets join the forest.
-	unionEdges(g, u, opt, func(v, w int32) bool {
-		return dec.Center[v] != dec.Center[w]
-	}, forest, cur)
+	// Cut edges. The union-find's sets are now exactly the clusters, so
+	// big's arcs are skipped whole: a cut edge with one end in big is
+	// unioned from its other end, every other cut edge from its smaller
+	// end, so each is unioned exactly once. The edges whose union merged
+	// two sets join the forest. The walk is degree-aware and blocked over
+	// the arc array (see graph.ArcSegments), so hubs never serialize one
+	// vertex block.
+	center := dec.Center
+	e.ForBlock(g.NumArcs(), 4096, func(lo, hi int) {
+		out := prim.NewAppender(forest, cur)
+		for v, adj := range g.ArcSegments(lo, hi) {
+			cv := center[v]
+			if cv == big {
+				continue
+			}
+			for _, w := range adj {
+				cw := center[w]
+				if cw == cv || (v > w && cw != big) {
+					continue // same cluster (self-loops too), or unioned from w
+				}
+				if opt.Filter != nil && !opt.Filter(v, w) {
+					continue
+				}
+				if u.Union(v, w) && forest != nil {
+					out.Push(graph.Edge{U: v, W: w})
+				}
+			}
+		}
+		out.Flush()
+	})
 	res := finish(e, g, u, sc)
 	if opt.WantForest {
 		res.Forest = forest[:cur.Load()]
 	}
-	sc.PutInt32(ufbuf, dec.Center, dec.Parent)
+	sc.PutInt32(ufbuf)
 	return res
+}
+
+// dominantSamples is the number of arcs DominantSet reads.
+const dominantSamples = 1024
+
+// DominantSet returns the most frequent value of set[w] over the targets
+// w of 1,024 evenly spaced arcs of g, or -1 when g has no arcs. A
+// uniformly drawn arc's target is a degree-weighted vertex, so when set
+// maps every vertex to its set's id, the result is the set that holds the
+// most arcs, whose arcs a union pass over the rest can then skip.
+func DominantSet(g *graph.Graph, set []int32) int32 {
+	m := len(g.Adj)
+	if m == 0 {
+		return -1
+	}
+	var ids [dominantSamples]int32
+	for i := range ids {
+		ids[i] = set[g.Adj[i*m/dominantSamples]]
+	}
+	slices.Sort(ids[:])
+	best, bestRun := ids[0], 0
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[i] {
+			j++
+		}
+		if j-i > bestRun {
+			best, bestRun = ids[i], j-i
+		}
+		i = j
+	}
+	return best
 }
 
 // forestBuf returns the cursor-collected forest buffer for a graph of n
@@ -127,39 +202,6 @@ func forestBuf(sc *graph.Scratch, n int, want bool) ([]graph.Edge, *atomic.Int64
 		size = 0
 	}
 	return sc.GetEdges(size), new(atomic.Int64)
-}
-
-// unionEdges unions every undirected edge passing opt.Filter and the extra
-// predicate. Edges whose Union succeeded — a spanning forest of the
-// processed edge set relative to the current union-find state — are
-// appended through the atomic cursor cur to forest when it is non-nil, in
-// per-block batches. The traversal is a degree-aware blocked walk over the
-// arc array (see graph.ArcSegments), so hubs never serialize one vertex
-// block.
-func unionEdges(g *graph.Graph, u *uf.UF, opt Options, extra func(v, w int32) bool, forest []graph.Edge, cur *atomic.Int64) {
-	collect := opt.WantForest && forest != nil
-	const arcGrain = 4096
-	opt.Exec.ForBlock(g.NumArcs(), arcGrain, func(lo, hi int) {
-		out := prim.NewAppender(forest, cur)
-		for v, adj := range g.ArcSegments(lo, hi) {
-			// Tight per-vertex segment: v is fixed for the range.
-			for _, w := range adj {
-				if v >= w { // each undirected edge once; skips self-loops
-					continue
-				}
-				if !extra(v, w) {
-					continue
-				}
-				if opt.Filter != nil && !opt.Filter(v, w) {
-					continue
-				}
-				if u.Union(v, w) && collect {
-					out.Push(graph.Edge{U: v, W: w})
-				}
-			}
-		}
-		out.Flush()
-	})
 }
 
 // finish flattens the union-find into component labels.

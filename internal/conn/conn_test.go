@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/ldd"
 	"repro/internal/parallel"
 	"repro/internal/uf"
 )
@@ -28,6 +29,14 @@ func refComponents(g *graph.Graph, filter func(u, w int32) bool) *uf.Seq {
 func checkAgainstRef(t *testing.T, g *graph.Graph, opt Options) *Result {
 	t.Helper()
 	res := Connectivity(g, opt)
+	checkResult(t, g, res, opt)
+	return res
+}
+
+// checkResult checks a connectivity result for g under opt against the
+// sequential reference, and its forest when opt asks for one.
+func checkResult(t *testing.T, g *graph.Graph, res *Result, opt Options) {
+	t.Helper()
 	ref := refComponents(g, opt.Filter)
 	if res.NumComp != ref.NumSets() {
 		t.Fatalf("NumComp = %d, want %d", res.NumComp, ref.NumSets())
@@ -42,7 +51,6 @@ func checkAgainstRef(t *testing.T, g *graph.Graph, opt Options) *Result {
 	if opt.WantForest {
 		checkForest(t, g, res, opt.Filter)
 	}
-	return res
 }
 
 func checkForest(t *testing.T, g *graph.Graph, res *Result, filter func(u, w int32) bool) {
@@ -241,5 +249,125 @@ func TestConnectivityBlockFlushesAcrossWorkers(t *testing.T) {
 				e.Close()
 			}
 		}
+	}
+}
+
+// clustersByKey is a hand-made decomposition of g: the connected pieces of
+// the subgraph that keeps only the edges whose ends share a key (and pass
+// filter), each spanned by a BFS tree from its smallest vertex, its center.
+func clustersByKey(g *graph.Graph, key []int32, filter func(u, w int32) bool) *ldd.Result {
+	n := g.NumVertices()
+	dec := &ldd.Result{Center: make([]int32, n), Parent: make([]int32, n)}
+	for v := range n {
+		dec.Center[v], dec.Parent[v] = -1, -1
+	}
+	var queue []int32
+	for c := int32(0); c < g.N; c++ {
+		if dec.Center[c] != -1 {
+			continue
+		}
+		dec.Center[c] = c
+		queue = append(queue[:0], c)
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, w := range g.Neighbors(v) {
+				if dec.Center[w] == -1 && key[w] == key[c] && (filter == nil || filter(v, w)) {
+					dec.Center[w], dec.Parent[w] = c, v
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	return dec
+}
+
+// TestCutEdgeWalkSkipsDominantCluster runs the cut-edge walk with the
+// dominant cluster placed by hand, at 1, 2 and 4 workers, with and without
+// a symmetric filter. In the grid the dominant cluster is a middle square,
+// so its cut edges lead to ids on both sides of its own; the RMAT graph's
+// clusters are random-key pieces around its hubs; on the ring every vertex
+// is its own cluster, so no cluster dominates. Each input runs with the
+// cluster DominantSet picks, with no skipped cluster (-1), and with every
+// cluster among the first 16 centers skipped in turn. Connectivity
+// itself runs on RMAT-12-8, whose decomposition leaves one cluster with
+// nearly every arc.
+func TestCutEdgeWalkSkipsDominantCluster(t *testing.T) {
+	const side = 60
+	grid := gen.Grid2D(side, side, false)
+	gridKey := make([]int32, side*side)
+	for v := range gridKey {
+		r, c := v/side, v%side
+		if r < 15 || r >= 45 || c < 15 || c >= 45 {
+			gridKey[v] = int32(1 + r/15*4 + c/15)
+		}
+	}
+	rmat := gen.RMAT(10, 8, 3)
+	rng := rand.New(rand.NewSource(3))
+	rmatKey := make([]int32, rmat.NumVertices())
+	for v := range rmatKey {
+		rmatKey[v] = int32(rng.Intn(3))
+	}
+	ring := gen.Cycle(500)
+	ringKey := make([]int32, 500)
+	for v := range ringKey {
+		ringKey[v] = int32(v)
+	}
+	drop := func(u, w int32) bool { return (u+w)%5 != 0 }
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+		key  []int32
+	}{
+		{"grid", grid, gridKey},
+		{"rmat", rmat, rmatKey},
+		{"ring", ring, ringKey},
+	} {
+		for _, filter := range []func(u, w int32) bool{nil, drop} {
+			dec := clustersByKey(in.g, in.key, filter)
+			bigs := []int32{DominantSet(in.g, dec.Center), -1}
+			for v, c := range dec.Center {
+				if c == int32(v) && len(bigs) < 18 {
+					bigs = append(bigs, c)
+				}
+			}
+			for _, p := range []int{1, 2, 4} {
+				e := parallel.NewExec(p)
+				for _, big := range bigs {
+					opt := Options{Filter: filter, WantForest: true, Exec: e}
+					checkResult(t, in.g, joinClusters(in.g, dec, big, opt), opt)
+				}
+				e.Close()
+			}
+		}
+	}
+	g := gen.RMAT(12, 8, 9)
+	for _, filter := range []func(u, w int32) bool{nil, drop} {
+		for _, p := range []int{1, 2, 4} {
+			e := parallel.NewExec(p)
+			checkAgainstRef(t, g, Options{Filter: filter, WantForest: true, Exec: e})
+			e.Close()
+		}
+	}
+}
+
+func TestDominantSet(t *testing.T) {
+	if got := DominantSet(graph.MustFromEdges(3, nil), []int32{0, 1, 2}); got != -1 {
+		t.Fatalf("DominantSet of an edgeless graph = %d, want -1", got)
+	}
+	// A star's arcs point at its center from every leaf and at every
+	// leaf from the center, so the set holding the center and half the
+	// leaves holds most of the arc targets.
+	g := gen.Star(101)
+	set := make([]int32, 101)
+	for v := range set {
+		set[v] = int32(v % 2)
+	}
+	set[0] = 7
+	for v := 1; v <= 60; v++ {
+		set[v] = 7
+	}
+	if got := DominantSet(g, set); got != 7 {
+		t.Fatalf("DominantSet = %d, want 7", got)
 	}
 }

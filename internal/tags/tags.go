@@ -8,7 +8,6 @@ import (
 	"repro/internal/etour"
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/prim"
 	"repro/internal/rmq"
 )
 
@@ -35,22 +34,29 @@ func Compute(g *graph.Graph, rt *etour.Rooted) *Tags {
 // process-global default) and drawing its temporaries — and the returned
 // Low and High arrays — from sc (which may be nil). The caller owns the
 // arena-backed Low/High; First/Last/Parent alias the Rooted input.
+//
+// w1[v] and w2[v], the min and max of first[] over v and its non-tree
+// neighbors, are folded in registers over blocks of 256 vertices. Each
+// vertex belongs to one block, so one plain store per vertex writes them,
+// isolated vertices included, and no arc costs an atomic write.
 func ComputeIn(e *parallel.Exec, g *graph.Graph, rt *etour.Rooted, sc *graph.Scratch) *Tags {
 	n := int(g.N)
 	first, last, parent := rt.First, rt.Last, rt.Parent
 	w1 := sc.GetInt32(n)
 	w2 := sc.GetInt32(n)
-	parallel.CopyIn(e, w1, first)
-	parallel.CopyIn(e, w2, first)
 	e.ForBlock(n, 256, func(lo, hi int) {
 		for v := int32(lo); v < int32(hi); v++ {
+			pv := parent[v]
+			lo1, hi1 := first[v], first[v]
 			for _, w := range g.Neighbors(v) {
-				if w == v || parent[w] == v || parent[v] == w {
+				if w == v || w == pv || parent[w] == v {
 					continue // self-loop or tree edge
 				}
-				prim.WriteMin(&w1[v], first[w])
-				prim.WriteMax(&w2[v], first[w])
+				f := first[w]
+				lo1 = min(lo1, f)
+				hi1 = max(hi1, f)
 			}
+			w1[v], w2[v] = lo1, hi1
 		}
 	})
 	a1 := sc.GetInt32(len(rt.Tour))

@@ -2,6 +2,7 @@ package tags
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/etour"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // computeTags runs First-CC + Rooting + Tagging on g.
@@ -215,6 +217,51 @@ func TestAncestorSelf(t *testing.T) {
 	for v := int32(0); v < 30; v++ {
 		if !tg.Ancestor(v, v) {
 			t.Fatalf("Ancestor(%d,%d) must be true", v, v)
+		}
+	}
+}
+
+// TestComputeInDirtyArena requires Low and High to equal refLowHigh at 1,
+// 2 and 4 workers when every run draws its buffers from one arena that
+// earlier runs on other graphs left dirty: the arena never zeroes a
+// buffer, so a w1/w2 slot the fold forgets to write shows up. The inputs
+// are a 20,000-leaf star whose leaves also form a ring, RMAT-13-8 (hubs
+// beside isolated vertices), and a small graph of isolated vertices,
+// self-loops and doubled chain edges, which are parallel tree edges.
+func TestComputeInDirtyArena(t *testing.T) {
+	star := gen.Star(20001).Edges()
+	for v := int32(1); v <= 20000; v++ {
+		star = append(star, graph.Edge{U: v, W: v%20000 + 1})
+	}
+	var odd []graph.Edge
+	for v := int32(0); v < 20; v++ {
+		odd = append(odd, graph.Edge{U: v, W: (v + 1) % 20}) // a cycle
+	}
+	for v := int32(30); v < 39; v++ {
+		odd = append(odd, graph.Edge{U: v, W: v + 1}, graph.Edge{U: v, W: v + 1})
+	}
+	odd = append(odd, graph.Edge{U: 3, W: 3}, graph.Edge{U: 25, W: 25}, graph.Edge{U: 33, W: 33}, graph.Edge{U: 5, W: 6})
+	graphs := []*graph.Graph{
+		graph.MustFromEdges(20001, star),
+		gen.RMAT(13, 8, 11),
+		graph.MustFromEdges(50, odd),
+	}
+	sc := graph.NewScratch()
+	for round := 0; round < 2; round++ {
+		for i, g := range graphs {
+			for _, p := range []int{1, 2, 4} {
+				e := parallel.NewExec(p)
+				cc := conn.Connectivity(g, conn.Options{Seed: uint64(round), WantForest: true, Scratch: sc, Exec: e})
+				rt := etour.RootIn(e, g.NumVertices(), cc.Forest, cc.Comp, sc)
+				tg := ComputeIn(e, g, rt, sc)
+				low, high := refLowHigh(g, tg)
+				if !slices.Equal(tg.Low, low) || !slices.Equal(tg.High, high) {
+					t.Fatalf("round %d, graph %d, %d workers: Low/High differ from refLowHigh", round, i, p)
+				}
+				sc.PutInt32(cc.Comp, rt.Tour, rt.First, rt.Last, tg.Low, tg.High)
+				sc.PutEdges(cc.Forest)
+				e.Close()
+			}
 		}
 	}
 }

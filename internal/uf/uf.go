@@ -92,14 +92,6 @@ func (u *UF) Union(x, y int32) bool {
 // meaningful once all concurrent unions are complete.
 func (u *UF) SameSet(x, y int32) bool { return u.Find(x) == u.Find(y) }
 
-// Flatten fully compresses all paths in parallel-safe single calls so that
-// subsequent Finds are O(1). Call after the union phase.
-func (u *UF) Flatten() {
-	for i := range u.parent {
-		u.parent[i] = u.Find(int32(i))
-	}
-}
-
 // Seq is a sequential union-find with union by size and path compression.
 type Seq struct {
 	parent []int32

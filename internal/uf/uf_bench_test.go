@@ -41,16 +41,3 @@ func BenchmarkSeqUnion(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkFindAfterFlatten(b *testing.B) {
-	n := 1 << 18
-	u := New(n)
-	for i := 0; i < n-1; i++ {
-		u.Union(int32(i), int32(i+1))
-	}
-	u.Flatten()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.Find(int32(i & (n - 1)))
-	}
-}

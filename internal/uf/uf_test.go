@@ -125,20 +125,6 @@ func TestUFConcurrentRandomSpanningForestCount(t *testing.T) {
 	}
 }
 
-func TestUFFlatten(t *testing.T) {
-	u := New(10)
-	for i := 0; i < 9; i++ {
-		u.Union(int32(i), int32(i+1))
-	}
-	u.Flatten()
-	root := u.parent[0]
-	for i := range u.parent {
-		if u.parent[i] != root {
-			t.Fatalf("flatten left parent[%d] = %d", i, u.parent[i])
-		}
-	}
-}
-
 func TestSeqNumSets(t *testing.T) {
 	s := NewSeq(6)
 	if s.NumSets() != 6 {
