@@ -106,19 +106,23 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 	// to the one block it heads, a root of t (-1 when it heads none: an
 	// isolated vertex).
 	x.nodeOf = make([]int32, n)
-	e.For(n, func(v int) {
-		switch {
-		case t.CutNode[v] != -1:
-			x.nodeOf[v] = t.CutNode[v]
-		case r.Parent[v] != -1:
-			x.nodeOf[v] = t.BlockOf[r.Label[v]]
-		default:
-			x.nodeOf[v] = -1
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			switch {
+			case t.CutNode[v] != -1:
+				x.nodeOf[v] = t.CutNode[v]
+			case r.Parent[v] != -1:
+				x.nodeOf[v] = t.BlockOf[r.Label[v]]
+			default:
+				x.nodeOf[v] = -1
+			}
 		}
 	})
-	e.For(r.NumLabels, func(l int) {
-		if b := t.BlockOf[l]; b != -1 && t.Parent[b] == -1 {
-			x.nodeOf[r.Head[l]] = b
+	e.ForBlock(r.NumLabels, parallel.DefaultGrain, func(lo, hi int) {
+		for l := lo; l < hi; l++ {
+			if b := t.BlockOf[l]; b != -1 && t.Parent[b] == -1 {
+				x.nodeOf[r.Head[l]] = b
+			}
 		}
 	})
 	// t.Parent is the Result's, shared by every index built on it and
@@ -140,15 +144,17 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 	x.brPar = make([]int32, numEcc)
 	x.brEdgeU = make([]int32, numEcc)
 	x.brEdgeW = make([]int32, numEcc)
-	e.For(n, func(v int) {
-		p := r.Parent[v]
-		c := x.ecc[v]
-		switch {
-		case p == -1:
-			x.brPar[c], x.brEdgeU[c], x.brEdgeW[c] = -1, -1, -1
-		case bridge[v]:
-			x.brPar[c] = x.ecc[p]
-			x.brEdgeU[c], x.brEdgeW[c] = min(p, int32(v)), max(p, int32(v))
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			p := r.Parent[v]
+			c := x.ecc[v]
+			switch {
+			case p == -1:
+				x.brPar[c], x.brEdgeU[c], x.brEdgeW[c] = -1, -1, -1
+			case bridge[v]:
+				x.brPar[c] = x.ecc[p]
+				x.brEdgeU[c], x.brEdgeW[c] = min(p, int32(v)), max(p, int32(v))
+			}
 		}
 	})
 	rt2 := etour.FromParentsIn(e, x.brPar)
@@ -171,13 +177,15 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 func tourDepths(e *parallel.Exec, rt *etour.Rooted) []int32 {
 	m := len(rt.Tour)
 	d := make([]int32, m+1)
-	e.For(m, func(i int) {
-		v := rt.Tour[i]
-		switch {
-		case int(rt.First[v]) != i:
-			d[i] = -1
-		case rt.Parent[v] != -1:
-			d[i] = 1
+	e.ForBlock(m, parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := rt.Tour[i]
+			switch {
+			case int(rt.First[v]) != i:
+				d[i] = -1
+			case rt.Parent[v] != -1:
+				d[i] = 1
+			}
 		}
 	})
 	prim.ExclusiveScanInt32In(e, d)
@@ -186,7 +194,11 @@ func tourDepths(e *parallel.Exec, rt *etour.Rooted) []int32 {
 
 func nodeDepths(e *parallel.Exec, first, tourDepth []int32) []int32 {
 	d := make([]int32, len(first))
-	e.For(len(first), func(v int) { d[v] = tourDepth[first[v]] })
+	e.ForBlock(len(first), parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			d[v] = tourDepth[first[v]]
+		}
+	})
 	return d
 }
 

@@ -208,8 +208,10 @@ func forestBuf(sc *graph.Scratch, n int, want bool) ([]graph.Edge, *atomic.Int64
 func finish(e *parallel.Exec, g *graph.Graph, u *uf.UF, sc *graph.Scratch) *Result {
 	n := int(g.N)
 	comp := sc.GetInt32(n)
-	e.For(n, func(v int) {
-		comp[v] = u.Find(int32(v))
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			comp[v] = u.Find(int32(v))
+		}
 	})
 	roots := parallel.SumInt64In(e, n, parallel.DefaultGrain, func(lo, hi int) int64 {
 		c := int64(0)

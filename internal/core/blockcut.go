@@ -64,22 +64,28 @@ func buildBlockCutTree(e *parallel.Exec, r *Result, cuts []int32) *BlockCutTree 
 		BlockOf: make([]int32, r.NumLabels),
 	}
 	// Dense block ids: BlockOf[l] = #block labels before l, or -1.
-	e.For(r.NumLabels, func(l int) {
-		if r.Head[l] != -1 {
-			t.BlockOf[l] = 1
-		} else {
-			t.BlockOf[l] = 0
+	e.ForBlock(r.NumLabels, parallel.DefaultGrain, func(lo, hi int) {
+		for l := lo; l < hi; l++ {
+			if r.Head[l] != -1 {
+				t.BlockOf[l] = 1
+			} else {
+				t.BlockOf[l] = 0
+			}
 		}
 	})
 	t.NumBlocks = int(prim.ExclusiveScanInt32In(e, t.BlockOf))
-	e.For(r.NumLabels, func(l int) {
-		if r.Head[l] == -1 {
-			t.BlockOf[l] = -1
+	e.ForBlock(r.NumLabels, parallel.DefaultGrain, func(lo, hi int) {
+		for l := lo; l < hi; l++ {
+			if r.Head[l] == -1 {
+				t.BlockOf[l] = -1
+			}
 		}
 	})
 	parallel.FillIn(e, t.CutNode, -1)
-	e.For(len(cuts), func(i int) {
-		t.CutNode[cuts[i]] = int32(t.NumBlocks + i)
+	e.ForBlock(len(cuts), parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t.CutNode[cuts[i]] = int32(t.NumBlocks + i)
+		}
 	})
 
 	// An articulation point a belongs to the blocks it heads and, when a
@@ -88,15 +94,19 @@ func buildBlockCutTree(e *parallel.Exec, r *Result, cuts []int32) *BlockCutTree 
 	// link point up from the block and the second up from the cut node,
 	// so every node has at most one parent link.
 	t.Parent = make([]int32, t.NumNodes())
-	e.For(r.NumLabels, func(l int) {
-		if b := t.BlockOf[l]; b != -1 {
-			t.Parent[b] = t.CutNode[r.Head[l]]
+	e.ForBlock(r.NumLabels, parallel.DefaultGrain, func(lo, hi int) {
+		for l := lo; l < hi; l++ {
+			if b := t.BlockOf[l]; b != -1 {
+				t.Parent[b] = t.CutNode[r.Head[l]]
+			}
 		}
 	})
-	e.For(len(cuts), func(i int) {
-		t.Parent[t.NumBlocks+i] = -1
-		if v := cuts[i]; r.Parent[v] != -1 {
-			t.Parent[t.NumBlocks+i] = t.BlockOf[r.Label[v]]
+	e.ForBlock(len(cuts), parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t.Parent[t.NumBlocks+i] = -1
+			if v := cuts[i]; r.Parent[v] != -1 {
+				t.Parent[t.NumBlocks+i] = t.BlockOf[r.Label[v]]
+			}
 		}
 	})
 	return t

@@ -272,10 +272,12 @@ func lastCC(e *parallel.Exec, g *graph.Graph, tg *tags.Tags, numTrees int, sc *g
 	// a fence edge (Alg. 1 line 11, evaluated parent-side). Walked from
 	// the top id down, like every union pass over forest-parent edges
 	// (see uf.UF.Union).
-	e.For(n, func(i int) {
-		v := n - 1 - i
-		if p := parent[v]; p != -1 && !(first[p] <= low[v] && last[p] >= high[v]) {
-			u.Union(int32(v), p)
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := n - 1 - i
+			if p := parent[v]; p != -1 && !(first[p] <= low[v] && last[p] >= high[v]) {
+				u.Union(int32(v), p)
+			}
 		}
 	})
 	// Snapshot the sets the tree unions left and pick the one holding the
@@ -320,13 +322,15 @@ func lastCC(e *parallel.Exec, g *graph.Graph, tg *tags.Tags, numTrees int, sc *g
 	// Dense labels: rank the union-find roots by a prefix sum, exactly
 	// conn's Normalize but over arena buffers.
 	isRoot := sc.GetInt32(n)
-	e.For(n, func(v int) {
-		c := u.Find(int32(v))
-		comp[v] = c
-		if c == int32(v) {
-			isRoot[v] = 1
-		} else {
-			isRoot[v] = 0
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			c := u.Find(int32(v))
+			comp[v] = c
+			if c == int32(v) {
+				isRoot[v] = 1
+			} else {
+				isRoot[v] = 0
+			}
 		}
 	})
 	numLabels := int(prim.ExclusiveScanInt32In(e, isRoot))

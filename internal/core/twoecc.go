@@ -43,27 +43,35 @@ func (r *Result) TwoECCBridgesIn(e *parallel.Exec, g *graph.Graph) (label []int3
 	bridge = make([]bool, n)
 	// Walked from the top id down, like every union pass over
 	// forest-parent edges (see uf.UF.Union).
-	e.For(n, func(i int) {
-		v := n - 1 - i
-		p := r.Parent[v]
-		switch {
-		case p == -1:
-		case r.isTreeBridge(g, count, int32(v)):
-			bridge[v] = true
-		default:
-			u.Union(int32(v), p)
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := n - 1 - i
+			p := r.Parent[v]
+			switch {
+			case p == -1:
+			case r.isTreeBridge(g, count, int32(v)):
+				bridge[v] = true
+			default:
+				u.Union(int32(v), p)
+			}
 		}
 	})
 	// uf.UF roots every set at its largest member, so ranking the roots
 	// by a prefix sum orders the labels by each 2ECC's largest vertex.
 	rank := make([]int32, n)
-	e.For(n, func(v int) {
-		if parent[v] == int32(v) {
-			rank[v] = 1
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			if parent[v] == int32(v) {
+				rank[v] = 1
+			}
 		}
 	})
 	prim.ExclusiveScanInt32In(e, rank)
 	label = make([]int32, n)
-	e.For(n, func(v int) { label[v] = rank[u.Find(int32(v))] })
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			label[v] = rank[u.Find(int32(v))]
+		}
+	})
 	return label, bridge
 }

@@ -86,23 +86,29 @@ func RootIn(e *parallel.Exec, n int, forest []graph.Edge, comp []int32, sc *grap
 	// Semisort arcs by source vertex.
 	perm, off := prim.CountingSortByKeyArena(e, m2, int32(n), src, sc)
 	pos := sc.GetInt32(m2) // original arc -> sorted position
-	e.For(m2, func(j int) { pos[perm[j]] = int32(j) })
+	e.ForBlock(m2, parallel.DefaultGrain, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			pos[perm[j]] = int32(j)
+		}
+	})
 
 	// Euler circuit successor: succ(u→v) = the arc after (v→u) in v's
 	// bucket, cyclically. Each circuit is broken before its root's first
 	// outgoing arc, so list ranking sees one chain per tree.
 	next := sc.GetInt32(m2)
-	e.For(m2, func(j int) {
-		twin := int(perm[j]) ^ 1
-		v := src(twin)
-		s := pos[twin] + 1
-		if s >= off[v+1] {
-			s = off[v]
+	e.ForBlock(m2, parallel.DefaultGrain, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			twin := int(perm[j]) ^ 1
+			v := src(twin)
+			s := pos[twin] + 1
+			if s >= off[v+1] {
+				s = off[v]
+			}
+			if comp[v] == v && s == off[v] {
+				s = -1
+			}
+			next[j] = s
 		}
-		if comp[v] == v && s == off[v] {
-			s = -1
-		}
-		next[j] = s
 	})
 
 	// Trees in increasing root order; a root with no arcs (an isolated
@@ -110,12 +116,14 @@ func RootIn(e *parallel.Exec, n int, forest []graph.Edge, comp []int32, sc *grap
 	roots := prim.PackIndicesArena(e, n, func(v int) bool { return comp[v] == int32(v) }, sc)
 	heads := sc.GetInt32(len(roots))
 	parent := make([]int32, n)
-	e.For(len(roots), func(t int) {
-		v := roots[t]
-		parent[v] = -1
-		heads[t] = -1
-		if off[v] < off[v+1] {
-			heads[t] = off[v]
+	e.ForBlock(len(roots), parallel.DefaultGrain, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			v := roots[t]
+			parent[v] = -1
+			heads[t] = -1
+			if off[v] < off[v+1] {
+				heads[t] = off[v]
+			}
 		}
 	})
 	slot, base, tourLen := rankTours(e, next, heads, nil, sc)
@@ -165,29 +173,37 @@ func FromParentsIn(e *parallel.Exec, parent []int32) *Rooted {
 	nc := int(off[n])
 	roots := perm[nc:]
 	pos := make([]int32, n) // child -> sorted position
-	e.For(nc, func(j int) { pos[perm[j]] = int32(j) })
-	next := make([]int32, 2*nc)
-	e.For(nc, func(j int) {
-		c := perm[j]
-		if off[c] < off[c+1] {
-			next[2*j] = 2 * off[c] // down to c's first child
-		} else {
-			next[2*j] = int32(2*j + 1) // a leaf: straight back up
+	e.ForBlock(nc, parallel.DefaultGrain, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			pos[perm[j]] = int32(j)
 		}
-		switch p := parent[c]; {
-		case int32(j+1) < off[p+1]:
-			next[2*j+1] = int32(2 * (j + 1)) // down to the next sibling
-		case parent[p] == -1:
-			next[2*j+1] = -1 // back at the root: the tour ends
-		default:
-			next[2*j+1] = 2*pos[p] + 1 // up from the parent
+	})
+	next := make([]int32, 2*nc)
+	e.ForBlock(nc, parallel.DefaultGrain, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			c := perm[j]
+			if off[c] < off[c+1] {
+				next[2*j] = 2 * off[c] // down to c's first child
+			} else {
+				next[2*j] = int32(2*j + 1) // a leaf: straight back up
+			}
+			switch p := parent[c]; {
+			case int32(j+1) < off[p+1]:
+				next[2*j+1] = int32(2 * (j + 1)) // down to the next sibling
+			case parent[p] == -1:
+				next[2*j+1] = -1 // back at the root: the tour ends
+			default:
+				next[2*j+1] = 2*pos[p] + 1 // up from the parent
+			}
 		}
 	})
 	heads := make([]int32, len(roots))
-	e.For(len(roots), func(t int) {
-		heads[t] = -1
-		if v := roots[t]; off[v] < off[v+1] {
-			heads[t] = 2 * off[v]
+	e.ForBlock(len(roots), parallel.DefaultGrain, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			heads[t] = -1
+			if v := roots[t]; off[v] < off[v+1] {
+				heads[t] = 2 * off[v]
+			}
 		}
 	})
 	tree := make([]int32, 2*nc)
@@ -202,11 +218,17 @@ func FromParentsIn(e *parallel.Exec, parent []int32) *Rooted {
 		Root:     make([]int32, n),
 	}
 	r.placeRoots(e, roots, base, tourLen)
-	e.For(len(roots), func(t int) { r.Root[roots[t]] = roots[t] })
-	e.For(nc, func(j int) {
-		c := perm[j]
-		r.placeEdge(parent[c], c, slot[2*j], slot[2*j+1])
-		r.Root[c] = roots[tree[2*j]]
+	e.ForBlock(len(roots), parallel.DefaultGrain, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			r.Root[roots[t]] = roots[t]
+		}
+	})
+	e.ForBlock(nc, parallel.DefaultGrain, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			c := perm[j]
+			r.placeEdge(parent[c], c, slot[2*j], slot[2*j+1])
+			r.Root[c] = roots[tree[2*j]]
+		}
 	})
 	return r
 }
@@ -215,14 +237,16 @@ func FromParentsIn(e *parallel.Exec, parent []int32) *Rooted {
 // and ends where the next one starts, and its root is the first and last
 // vertex on it. It leaves Parent alone.
 func (r *Rooted) placeRoots(e *parallel.Exec, roots, base []int32, tourLen int32) {
-	e.For(len(roots), func(t int) {
-		end := tourLen
-		if t+1 < len(roots) {
-			end = base[t+1]
+	e.ForBlock(len(roots), parallel.DefaultGrain, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			end := tourLen
+			if t+1 < len(roots) {
+				end = base[t+1]
+			}
+			v := roots[t]
+			r.First[v], r.Last[v] = base[t], end-1
+			r.Tour[base[t]] = v
 		}
-		v := roots[t]
-		r.First[v], r.Last[v] = base[t], end-1
-		r.Tour[base[t]] = v
 	})
 }
 
@@ -253,16 +277,22 @@ func rankTours(e *parallel.Exec, next, heads, tree []int32, sc *graph.Scratch) (
 	// marked in it first so the pack sees them.
 	sampleIdx := sc.GetInt32(m)
 	parallel.FillIn(e, sampleIdx, -1)
-	e.For(len(heads), func(t int) {
-		if h := heads[t]; h != -1 {
-			sampleIdx[h] = 0
+	e.ForBlock(len(heads), parallel.DefaultGrain, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			if h := heads[t]; h != -1 {
+				sampleIdx[h] = 0
+			}
 		}
 	})
 	samples := prim.PackIndicesArena(e, m, func(j int) bool {
 		return j%step == 0 || sampleIdx[j] == 0
 	}, sc)
 	ns := len(samples)
-	e.For(ns, func(i int) { sampleIdx[samples[i]] = int32(i) })
+	e.ForBlock(ns, parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sampleIdx[samples[i]] = int32(i)
+		}
+	})
 	// Phase 1: each sample walks to the next sample (or chain end),
 	// recording the hop count and the sample reached.
 	nextSample := sc.GetInt32(ns) // index into samples, -1 at end

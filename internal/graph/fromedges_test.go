@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -218,4 +219,161 @@ func TestFromEdgesScratchReusesBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalGraphs(t, g2, g1)
+}
+
+// TestEdgesCanonicalOrder checks that Edges lists a multigraph's edges
+// sorted by (U, W) with U <= W, each self-loop in place and once per pair
+// of arcs, so the list round-trips through FromEdges.
+func TestEdgesCanonicalOrder(t *testing.T) {
+	in := []Edge{{3, 1}, {2, 2}, {0, 4}, {1, 3}, {2, 2}, {4, 4}, {2, 1}, {2, 3}, {0, 0}, {2, 4}}
+	g := MustFromEdges(6, in)
+	got := g.Edges()
+	want := []Edge{{0, 0}, {0, 4}, {1, 2}, {1, 3}, {1, 3}, {2, 2}, {2, 2}, {2, 3}, {2, 4}, {4, 4}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Edges() = %v, want %v", got, want)
+	}
+	equalGraphs(t, MustFromEdges(6, got), g)
+}
+
+// canonicalList returns edges with U <= W, sorted by (U, W).
+func canonicalList(edges []Edge) []Edge {
+	out := make([]Edge, len(edges))
+	for i, e := range edges {
+		out[i] = canonical(e)
+	}
+	slices.SortFunc(out, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.W, b.W))
+	})
+	return out
+}
+
+// TestFromEdgesCanonicalPath checks the one-scatter path on canonical
+// lists, and that lists one edge away from canonical take the transpose,
+// on 1, 2 and 4 workers against the atomic reference. Both inputs have
+// about 10 edges per vertex, so the scatter splits them over every worker.
+// The inversions sit where a check confined to one block of a pass would
+// miss them: at the validation pass's first DefaultGrain block boundary
+// (index 1024 while the list is at most 4p·DefaultGrain long) and at the
+// scatter's chunk boundary.
+func TestFromEdgesCanonicalPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	// A multigraph over 300 vertices whose last 30 are isolated, with
+	// self-loops and parallel edges.
+	n := 300
+	multi := make([]Edge, 3000)
+	for i := range multi {
+		u, w := V(rng.Intn(n-30)), V(rng.Intn(n-30))
+		switch {
+		case rng.Intn(10) == 0:
+			w = u
+		case i > 0 && rng.Intn(8) == 0:
+			u, w = multi[i-1].U, multi[i-1].W
+		}
+		multi[i] = Edge{u, w}
+	}
+	// A hub in the middle of the id range with ten parallel edges to every
+	// vertex, itself included: its arcs arrive from every chunk of the
+	// scatter, the smaller neighbors from the first half of the list and
+	// the larger ones from the second.
+	var hub []Edge
+	for v := V(0); v < 201; v++ {
+		for k := 0; k < 10; k++ {
+			hub = append(hub, Edge{100, v})
+		}
+	}
+	sc := NewScratch()
+	for _, in := range []struct {
+		name  string
+		n     int
+		edges []Edge
+	}{{"multigraph", n, canonicalList(multi)}, {"hub", 201, canonicalList(hub)}} {
+		if len(in.edges) <= parallel.DefaultGrain || len(in.edges) > 8*parallel.DefaultGrain {
+			t.Fatalf("%s: %d edges, want one validation block boundary at 2 and 4 workers", in.name, len(in.edges))
+		}
+		for _, p := range []int{1, 2, 4} {
+			nw := csrWorkers(p, in.n, 2*len(in.edges))
+			chunk := (len(in.edges) + nw - 1) / nw
+			if p > 1 && (nw != p || chunk >= len(in.edges)) {
+				t.Fatalf("%s: %d scatter workers at p = %d", in.name, nw, p)
+			}
+			// A self-loop on edges[i-1].U placed at i sorts before its
+			// predecessor, so it is the list's one inversion.
+			invertAt := func(i int) []Edge {
+				out := slices.Clone(in.edges)
+				if out[i-1].U == out[i-1].W {
+					out[i-1].W = V(in.n - 1)
+				}
+				out[i] = Edge{out[i-1].U, out[i-1].U}
+				return out
+			}
+			flipped := slices.Clone(in.edges)
+			for i := range flipped {
+				if flipped[i].U < flipped[i].W {
+					flipped[i].U, flipped[i].W = flipped[i].W, flipped[i].U
+					break
+				}
+			}
+			for _, c := range []struct {
+				name  string
+				edges []Edge
+			}{
+				{"canonical", in.edges},
+				{"inverted-at-validation-block", invertAt(parallel.DefaultGrain)},
+				{"inverted-at-scatter-chunk", invertAt(min(chunk, len(in.edges)/2))},
+				{"one-edge-U-above-W", flipped},
+			} {
+				t.Run(fmt.Sprintf("%s/%s/p%d", in.name, c.name, p), func(t *testing.T) {
+					e := parallel.NewExec(p)
+					defer e.Close()
+					g, err := FromEdgesIn(e, in.n, c.edges, sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalGraphs(t, g, fromEdgesAtomicReference(in.n, c.edges))
+				})
+			}
+		}
+	}
+}
+
+// FuzzFromEdges builds arbitrary edge lists three ways, as given,
+// canonical (U <= W, sorted by (U, W)), and canonical with two edges
+// swapped, on 1, 2 and 4 workers, and requires each CSR to equal the
+// atomic reference. The first byte picks n; every later pair of bytes is
+// an edge, taken mod n.
+func FuzzFromEdges(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 0, 2, 3, 3, 3, 0, 3, 0, 1}, uint16(3))
+	f.Add([]byte{2, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0}, uint16(0x0102))
+	execs := []*parallel.Exec{parallel.NewExec(1), parallel.NewExec(2), parallel.NewExec(4)}
+	defer func() {
+		for _, e := range execs {
+			e.Close()
+		}
+	}()
+	f.Fuzz(func(t *testing.T, data []byte, swap uint16) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%64
+		edges := make([]Edge, (len(data)-1)/2)
+		for i := range edges {
+			edges[i] = Edge{V(int(data[1+2*i]) % n), V(int(data[2+2*i]) % n)}
+		}
+		canon := canonicalList(edges)
+		swapped := slices.Clone(canon)
+		if len(swapped) > 0 {
+			i, j := int(swap&0xff)%len(swapped), int(swap>>8)%len(swapped)
+			swapped[i], swapped[j] = swapped[j], swapped[i]
+		}
+		for _, in := range [][]Edge{edges, canon, swapped} {
+			want := fromEdgesAtomicReference(n, in)
+			for _, e := range execs {
+				g, err := FromEdgesIn(e, n, in, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalGraphs(t, g, want)
+			}
+		}
+	})
 }

@@ -8,6 +8,11 @@
 // ("for directed graphs, we symmetrize them to test BCC"). Self-loops and
 // parallel edges are permitted: they never affect biconnectivity beyond
 // the trivial ways.
+//
+// FromEdgesIn builds the CSR on one of two paths, picked by the input
+// alone: a canonical edge list (U ≤ W, sorted by (U, W), as Edges returns
+// it) is scattered once straight into the adjacency, and any other list is
+// scattered into scratch and transposed. Both give the same graph.
 package graph
 
 import (
@@ -104,15 +109,25 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 
 // FromEdgesIn is FromEdges running on the execution context e (nil =
 // default) and drawing its temporaries from sc (which may be nil).
-// Construction is parallel and atomic-free: the edge list is cut
-// into one contiguous chunk per worker, each worker counts degrees into a
-// private histogram, the histograms are merged by a prefix-sum pass that
-// also assigns every worker a disjoint scatter range per vertex, and each
-// worker re-scans its chunk writing arcs without synchronization into a
-// scratch buffer, in no particular order within a list. One stable
-// transpose of that buffer (see transpose) then writes the final
-// adjacency with every list ascending, so the output is deterministic and
-// identical to the historical atomic-scatter construction.
+// Construction is parallel and atomic-free: the edge list is cut into one
+// contiguous chunk per worker, each worker counts degrees into a private
+// histogram, the histograms are merged by a prefix-sum pass that also
+// assigns every worker a disjoint scatter range per vertex, and each
+// worker re-scans its chunk writing both arcs of each of its edges
+// without synchronization. The output is deterministic and identical to
+// the historical atomic-scatter construction whatever the input order;
+// which of two paths produces it depends on the input alone.
+//
+// The validation pass, which reads every edge for its range check, also
+// compares each edge with its predecessor. A canonical list — U ≤ W for
+// every edge and (U, W) nondecreasing, the order Edges returns — is
+// scattered straight into the returned adjacency: the arcs into x arrive
+// as its smaller neighbors in U order, then its self-loops, then its
+// larger neighbors in W order, and the workers' rows concatenate in input
+// order, so every list comes out ascending. Any other list is scattered
+// into a scratch buffer, in no particular order within a list, and one
+// stable transpose of that buffer (see transpose) writes the final
+// adjacency with every list ascending.
 func FromEdgesIn(e *parallel.Exec, n int, edges []Edge, sc *Scratch) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -120,24 +135,40 @@ func FromEdgesIn(e *parallel.Exec, n int, edges []Edge, sc *Scratch) (*Graph, er
 	if int64(len(edges))*2 >= int64(1)<<31 {
 		return nil, fmt.Errorf("graph: %d edges exceeds int32 arc capacity", len(edges))
 	}
-	bad := parallel.ReduceIn(e, len(edges), parallel.DefaultGrain, -1,
-		func(lo, hi int) int {
-			for i := lo; i < hi; i++ {
+	ck := parallel.ReduceIn(e, len(edges), parallel.DefaultGrain, edgeCheck{bad: -1, canonical: true},
+		func(lo, hi int) edgeCheck {
+			// The order check stops at the range's first non-canonical
+			// edge: on a random list its branches would mispredict on
+			// every edge.
+			i := lo
+			for ; i < hi; i++ {
 				e := edges[i]
 				if e.U < 0 || int(e.U) >= n || e.W < 0 || int(e.W) >= n {
-					return i
+					return edgeCheck{bad: i}
+				}
+				if e.U > e.W || (i > 0 && lessEdge(e, edges[i-1])) {
+					break
 				}
 			}
-			return -1
+			canonical := i == hi
+			for ; i < hi; i++ {
+				if e := edges[i]; e.U < 0 || int(e.U) >= n || e.W < 0 || int(e.W) >= n {
+					return edgeCheck{bad: i}
+				}
+			}
+			return edgeCheck{bad: -1, canonical: canonical}
 		},
-		func(a, b int) int {
-			if a >= 0 {
+		func(a, b edgeCheck) edgeCheck {
+			if a.bad >= 0 {
 				return a
 			}
-			return b
+			if b.bad >= 0 {
+				return b
+			}
+			return edgeCheck{bad: -1, canonical: a.canonical && b.canonical}
 		})
-	if bad >= 0 {
-		e := edges[bad]
+	if ck.bad >= 0 {
+		e := edges[ck.bad]
 		return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.W, n)
 	}
 	offsets := make([]int32, n+1)
@@ -149,19 +180,28 @@ func FromEdgesIn(e *parallel.Exec, n int, edges []Edge, sc *Scratch) (*Graph, er
 	// most workers — a very sparse graph on a many-core machine — the
 	// atomic-cursor scatter parallelizes better than a 2-worker histogram
 	// pass; take that path instead (the transpose makes the output
-	// identical either way).
+	// identical either way). A canonical list always takes the histogram
+	// scatter, the one that keeps input order.
 	p := e.Procs()
 	nw := csrWorkers(p, n, 2*len(edges))
 	var src []V
 	var cur []int32
-	if p > 2*nw {
-		cur = sc.GetInt32(nw * n)
-		src = scatterAtomic(e, n, edges, offsets, cur[:n], sc)
-	} else {
+	if ck.canonical || p <= 2*nw {
 		chunk := (len(edges) + nw - 1) / nw
 		nw = (len(edges) + chunk - 1) / chunk
 		cur = sc.GetInt32(nw * n)
-		src = scatterHistogram(e, n, edges, offsets, nw, chunk, cur, sc)
+		histogramCursors(e, n, edges, offsets, nw, chunk, cur)
+		if ck.canonical {
+			adj := make([]V, offsets[n])
+			scatterHistogram(e, n, edges, nw, chunk, cur, adj)
+			sc.PutInt32(cur)
+			return &Graph{N: int32(n), Offsets: offsets, Adj: adj}, nil
+		}
+		src = sc.GetInt32(int(offsets[n]))
+		scatterHistogram(e, n, edges, nw, chunk, cur, src)
+	} else {
+		cur = sc.GetInt32(nw * n)
+		src = scatterAtomic(e, n, edges, offsets, cur[:n], sc)
 	}
 	adj := make([]V, len(src))
 	if !transpose(e, offsets, src, adj, nw, cur) {
@@ -169,6 +209,19 @@ func FromEdgesIn(e *parallel.Exec, n int, edges []Edge, sc *Scratch) (*Graph, er
 	}
 	sc.PutInt32(cur, src)
 	return &Graph{N: int32(n), Offsets: offsets, Adj: adj}, nil
+}
+
+// edgeCheck is the validation pass's result over a range of edges: the
+// first edge out of range (-1 for none) and, when there is none, whether
+// the range is canonical, its first edge compared with its predecessor.
+type edgeCheck struct {
+	bad       int
+	canonical bool
+}
+
+// lessEdge orders edges by (U, W).
+func lessEdge(a, b Edge) bool {
+	return a.U < b.U || (a.U == b.U && a.W < b.W)
 }
 
 // csrWorkers is the worker count of the edge scatter and of the transpose
@@ -180,18 +233,15 @@ func csrWorkers(p, n, arcs int) int {
 	return min(p, 1+arcs/(2*n), 16)
 }
 
-// scatterHistogram returns a scratch buffer holding every edge's two arcs
-// grouped by source vertex, in no particular order within a group. Worker
-// w handles edges [w·chunk, (w+1)·chunk) through the row
-// degW[w·n : (w+1)·n]. offsets is the caller's zeroed (n+1)-array, turned
-// into the CSR offsets in place.
-func scatterHistogram(e *parallel.Exec, n int, edges []Edge, offsets []int32, nw, chunk int, degW []int32, sc *Scratch) []V {
+// histogramCursors counts every edge's two arcs into offsets, the
+// caller's zeroed (n+1)-array, turned into the CSR offsets in place, and
+// turns degW into the per-worker scatter cursors: worker w handles edges
+// [w·chunk, (w+1)·chunk) through the row degW[w·n : (w+1)·n], and writes
+// v's arcs from offsets[v] plus the counts of earlier workers.
+func histogramCursors(e *parallel.Exec, n int, edges []Edge, offsets []int32, nw, chunk int, degW []int32) {
 	parallel.FillIn(e, degW, 0)
 	e.ForGrain(nw, 1, func(w int) {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
+		lo, hi := w*chunk, min((w+1)*chunk, len(edges))
 		d := degW[w*n : (w+1)*n]
 		for i := lo; i < hi; i++ {
 			d[edges[i].U]++
@@ -199,47 +249,52 @@ func scatterHistogram(e *parallel.Exec, n int, edges []Edge, offsets []int32, nw
 		}
 	})
 	// Per-vertex totals, then the offset scan.
-	e.For(n, func(v int) {
-		var s int32
-		for w := 0; w < nw; w++ {
-			s += degW[w*n+v]
-		}
-		offsets[v] = s
-	})
-	total := prim.ExclusiveScanInt32In(e, offsets)
-	// Turn each histogram row into that worker's scatter cursors: worker w
-	// writes v's arcs at offsets[v] plus the counts of earlier workers.
-	e.For(n, func(v int) {
-		run := offsets[v]
-		for w := 0; w < nw; w++ {
-			idx := w*n + v
-			c := degW[idx]
-			degW[idx] = run
-			run += c
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			var s int32
+			for w := 0; w < nw; w++ {
+				s += degW[w*n+v]
+			}
+			offsets[v] = s
 		}
 	})
-	src := sc.GetInt32(int(total))
-	e.ForGrain(nw, 1, func(w int) {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		cur := degW[w*n : (w+1)*n]
-		for i := lo; i < hi; i++ {
-			u, x := edges[i].U, edges[i].W
-			src[cur[u]] = x
-			cur[u]++
-			src[cur[x]] = u
-			cur[x]++
+	prim.ExclusiveScanInt32In(e, offsets)
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			run := offsets[v]
+			for w := 0; w < nw; w++ {
+				idx := w*n + v
+				c := degW[idx]
+				degW[idx] = run
+				run += c
+			}
 		}
 	})
-	return src
 }
 
-// scatterAtomic is scatterHistogram for the regime where per-worker
-// histograms would cap parallelism (Procs far above the memory-amortized
-// worker limit): atomic degree counting and atomic-cursor scatter over
-// all workers. cursor is scratch of n int32.
+// scatterHistogram writes every edge's two arcs into dst through the
+// cursors histogramCursors left in cur, each worker its own chunk of
+// edges in input order: grouped by source vertex, and within a group in
+// the order the edges list them.
+func scatterHistogram(e *parallel.Exec, n int, edges []Edge, nw, chunk int, cur []int32, dst []V) {
+	e.ForGrain(nw, 1, func(w int) {
+		lo, hi := w*chunk, min((w+1)*chunk, len(edges))
+		c := cur[w*n : (w+1)*n]
+		for i := lo; i < hi; i++ {
+			u, x := edges[i].U, edges[i].W
+			dst[c[u]] = x
+			c[u]++
+			dst[c[x]] = u
+			c[x]++
+		}
+	})
+}
+
+// scatterAtomic is histogramCursors plus scatterHistogram into a scratch
+// buffer, for the regime where per-worker histograms would cap
+// parallelism (Procs far above the memory-amortized worker limit): atomic
+// degree counting and atomic-cursor scatter over all workers, in no
+// particular order within a list. cursor is scratch of n int32.
 func scatterAtomic(e *parallel.Exec, n int, edges []Edge, offsets, cursor []int32, sc *Scratch) []V {
 	e.ForBlock(len(edges), parallel.DefaultGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -333,27 +388,25 @@ func MustFromEdges(n int, edges []Edge) *Graph {
 	return g
 }
 
-// Edges returns the undirected edge list (u <= w once per edge; self-loops
-// once). Mostly for tests and verification.
+// Edges returns the undirected edge list in canonical order: u <= w once
+// per edge, sorted by (u, w), each self-loop once per pair of arcs. This
+// is the order FromEdgesIn scatters without a transpose.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges())
 	for v := V(0); v < g.N; v++ {
+		// v's list is ascending, so its self-loop arcs sit between its
+		// smaller and its larger neighbors; emit every second one.
+		self := false
 		for _, w := range g.Neighbors(v) {
-			if v < w {
+			switch {
+			case w > v:
 				out = append(out, Edge{v, w})
+			case w == v:
+				if self {
+					out = append(out, Edge{v, v})
+				}
+				self = !self
 			}
-		}
-	}
-	// Self-loops appear twice in adjacency; emit each once.
-	for v := V(0); v < g.N; v++ {
-		c := 0
-		for _, w := range g.Neighbors(v) {
-			if w == v {
-				c++
-			}
-		}
-		for i := 0; i < c/2; i++ {
-			out = append(out, Edge{v, v})
 		}
 	}
 	return out

@@ -25,10 +25,11 @@ func benchGraph(n, deg int, seed int64) *Graph {
 
 // BenchmarkFromEdges builds the CSR of 2^20 uniformly random edges over
 // 2^18 vertices (every list short) and of RMAT-16-8 (hub lists holding most
-// arcs), each fed in random order and in the sorted order Edges() returns
-// (the order the repository benchmark's loads use), so a gain that rests on
-// input order shows as a gap between the two. Loops run on GOMAXPROCS
-// workers, so -cpu sets the worker count.
+// arcs), each fed in random order and in the canonical order Edges()
+// returns (the order the repository benchmark's loads use). The first
+// takes the scatter and the transpose, the second the one scatter, so a
+// gain that rests on input order shows as a gap between the two. Loops run
+// on GOMAXPROCS workers, so -cpu sets the worker count.
 func BenchmarkFromEdges(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 1 << 18

@@ -63,6 +63,10 @@ func TestFromEdgesValidation(t *testing.T) {
 	if _, err := FromEdges(3, []Edge{{-1, 0}}); err == nil {
 		t.Fatal("negative endpoint accepted")
 	}
+	// Past a list's first non-canonical edge only the range is checked.
+	if _, err := FromEdges(3, []Edge{{1, 0}, {0, 3}}); err == nil {
+		t.Fatal("out-of-range endpoint after an inversion accepted")
+	}
 }
 
 func TestSelfLoopAndMultiEdge(t *testing.T) {

@@ -127,11 +127,13 @@ func Decompose(g *graph.Graph, opt Options) *Result {
 	// Shifts: shift(v) = floor(Exp(beta)) computed from a hash of
 	// (seed, v) so the decomposition is deterministic for a given seed.
 	shift := sc.GetInt32(n)
-	e.For(n, func(v int) {
-		u := prim.Hash64(opt.Seed ^ (uint64(v)*0x9e3779b97f4a7c15 + 0x1234567))
-		// Uniform in (0,1]: avoid log(0).
-		x := (float64(u>>11) + 1) / (1 << 53)
-		shift[v] = int32(math.Floor(-math.Log(x) / beta))
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			u := prim.Hash64(opt.Seed ^ (uint64(v)*0x9e3779b97f4a7c15 + 0x1234567))
+			// Uniform in (0,1]: avoid log(0).
+			x := (float64(u>>11) + 1) / (1 << 53)
+			shift[v] = int32(math.Floor(-math.Log(x) / beta))
+		}
 	})
 	// Vertices grouped by start round maxShift − shift(v), the MPX order,
 	// via counting sort (arena-backed; returned after the round loop).

@@ -495,7 +495,7 @@ func (pl *pool) worker() {
 }
 
 // For runs body(i) for every i in [0, n) in parallel on e with the default
-// grain.
+// grain. See ForGrain for its per-element cost.
 func (e *Exec) For(n int, body func(i int)) {
 	e.ForGrain(n, DefaultGrain, body)
 }
@@ -503,6 +503,21 @@ func (e *Exec) For(n int, body func(i int)) {
 // ForGrain runs body(i) for every i in [0, n) in parallel on e. Blocks have
 // at least grain iterations; a loop with n <= grain runs sequentially
 // inline.
+//
+// Every element costs one call through a function value: Go does not
+// inline body through the block wrapper, even where ForGrain itself is
+// inlined into the caller. At one worker of a 2-vCPU Xeon, a random-scatter
+// body over 260K elements took 0.80–0.86 ms through For and 0.42–0.46 ms
+// as a block loop, and a copy body 0.44–0.49 ms against 0.14–0.15 ms. So a
+// hot loop over vertices, arcs or tour slots uses ForBlock with the loop
+// in its body:
+//
+//	e.ForBlock(n, DefaultGrain, func(lo, hi int) {
+//		for i := lo; i < hi; i++ { ... }
+//	})
+//
+// ForGrain(n, 1, body) stays the form for loops whose every element is a
+// long walk of its own (one per sample or per worker).
 func (e *Exec) ForGrain(n, grain int, body func(i int)) {
 	e.ForBlock(n, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -652,7 +667,11 @@ func (e *Exec) Do(fns ...func()) {
 
 // Iota fills dst[i] = base + i in parallel on e.
 func (e *Exec) Iota(dst []int32, base int32) {
-	e.For(len(dst), func(i int) { dst[i] = base + int32(i) })
+	e.ForBlock(len(dst), DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = base + int32(i)
+		}
+	})
 }
 
 // ReduceIn computes merge over leaf values of the blocks of [0, n) on e.
@@ -735,14 +754,16 @@ func CopyIn[T any](e *Exec, dst, src []T) {
 }
 
 // For runs body(i) for every i in [0, n) in parallel with the default grain
-// on the default context.
+// on the default context. Each element costs a function-value call; see
+// (*Exec).ForGrain.
 func For(n int, body func(i int)) {
 	(*Exec)(nil).ForGrain(n, DefaultGrain, body)
 }
 
 // ForGrain runs body(i) for every i in [0, n) in parallel on the default
 // context. Blocks have at least grain iterations; a loop with n <= grain
-// runs sequentially inline.
+// runs sequentially inline. Each element costs a function-value call, so
+// hot loops use ForBlock; see (*Exec).ForGrain.
 func ForGrain(n, grain int, body func(i int)) {
 	(*Exec)(nil).ForGrain(n, grain, body)
 }
@@ -763,11 +784,6 @@ func Do(fns ...func()) {
 // default context. id is the identity of merge. merge must be associative.
 func Reduce[T any](n, grain int, id T, leaf func(lo, hi int) T, merge func(a, b T) T) T {
 	return ReduceIn(nil, n, grain, id, leaf, merge)
-}
-
-// MapInt32 fills dst[i] = f(i) for i in [0, n) in parallel.
-func MapInt32(dst []int32, f func(i int) int32) {
-	For(len(dst), func(i int) { dst[i] = f(i) })
 }
 
 // Fill sets every element of dst to v in parallel.

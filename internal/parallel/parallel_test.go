@@ -163,16 +163,6 @@ func TestCopyLengthMismatchPanics(t *testing.T) {
 	Copy(make([]int, 3), make([]int, 4))
 }
 
-func TestMapInt32(t *testing.T) {
-	dst := make([]int32, 777)
-	MapInt32(dst, func(i int) int32 { return int32(i * 2) })
-	for i, v := range dst {
-		if v != int32(2*i) {
-			t.Fatalf("MapInt32: dst[%d]=%d", i, v)
-		}
-	}
-}
-
 func TestReduceMatchesSequentialQuick(t *testing.T) {
 	f := func(xs []int32) bool {
 		var want int64

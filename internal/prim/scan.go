@@ -88,20 +88,24 @@ func PackIndicesIn(e *parallel.Exec, n int, keep func(i int) bool) []int32 {
 // alias arena memory.
 func PackIndicesArena(e *parallel.Exec, n int, keep func(i int) bool, a Arena) []int32 {
 	flags := arenaGet(a, n, true)
-	e.For(n, func(i int) {
-		if keep(i) {
-			flags[i] = 1
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if keep(i) {
+				flags[i] = 1
+			}
 		}
 	})
 	total := ExclusiveScanInt32In(e, flags)
 	out := arenaGet(a, int(total), false)
-	e.For(n, func(i int) {
-		if i+1 < n {
-			if flags[i+1] != flags[i] {
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i+1 < n {
+				if flags[i+1] != flags[i] {
+					out[flags[i]] = int32(i)
+				}
+			} else if int32(len(out)) != flags[i] {
 				out[flags[i]] = int32(i)
 			}
-		} else if int32(len(out)) != flags[i] {
-			out[flags[i]] = int32(i)
 		}
 	})
 	arenaPut(a, flags)

@@ -69,23 +69,27 @@ func CountingSortByKeyArena(e *parallel.Exec, n int, nBuckets int32, key func(i 
 		}
 	})
 	// offsets: total per bucket, then exclusive scan.
-	e.For(int(nBuckets), func(k int) {
-		var s int32
-		for b := 0; b < nb; b++ {
-			s += hist[b*int(nBuckets)+k]
+	e.ForBlock(int(nBuckets), parallel.DefaultGrain, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			var s int32
+			for b := 0; b < nb; b++ {
+				s += hist[b*int(nBuckets)+k]
+			}
+			counts[k] = s
 		}
-		counts[k] = s
 	})
 	ExclusiveScanInt32In(e, offsets)
 	// Per (block, bucket) start = offsets[bucket] + sum of this bucket over
 	// earlier blocks. Computed by a per-bucket sequential pass in parallel
 	// over buckets (column scan).
-	e.For(int(nBuckets), func(k int) {
-		s := offsets[k]
-		for b := 0; b < nb; b++ {
-			c := hist[b*int(nBuckets)+k]
-			hist[b*int(nBuckets)+k] = s
-			s += c
+	e.ForBlock(int(nBuckets), parallel.DefaultGrain, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			s := offsets[k]
+			for b := 0; b < nb; b++ {
+				c := hist[b*int(nBuckets)+k]
+				hist[b*int(nBuckets)+k] = s
+				s += c
+			}
 		}
 	})
 	perm = arenaGet(a, n, false)

@@ -1,5 +1,5 @@
-// Package rmq implements a space-efficient parallel range-minimum /
-// range-maximum structure over an int32 array.
+// Package rmq implements a space-efficient parallel range-minimum
+// structure over an int32 array.
 //
 // The paper's Tagging step computes low[v]/high[v] with n 1-D range queries
 // over the Euler-tour-ordered w1/w2 arrays (Sec. 4.1). A plain sparse table
@@ -8,6 +8,11 @@
 // B, each block stores prefix- and suffix-minima, and a sparse table is built
 // over the n/B block minima. Queries are O(1); construction is O(n) work and
 // O(log n) span (parallel over blocks and table levels).
+//
+// There is one kernel, for minima, and it compares with < inline. A range
+// maximum is a range minimum over the bitwise complements: ^x = -x-1
+// reverses the order of int32 values and cannot overflow, so
+// max(a[lo..hi]) = ^min(^a[lo..hi]). Tagging stores ^w2 and queries that.
 package rmq
 
 import (
@@ -43,7 +48,7 @@ func NewMinIn(e *parallel.Exec, a []int32) *Min {
 // released with Free once the last query has completed.
 func NewMinArena(e *parallel.Exec, a []int32, ar prim.Arena) *Min {
 	m := &Min{a: a}
-	m.build(e, lessMin, ar)
+	m.build(e, ar)
 	return m
 }
 
@@ -60,31 +65,6 @@ func (m *Min) Free(ar prim.Arena) {
 	m.a, m.prefix, m.suffix, m.table = nil, nil, nil, nil
 }
 
-// Max answers range-maximum queries over a fixed array.
-type Max struct {
-	Min
-}
-
-// NewMax builds a range-maximum structure over a.
-func NewMax(a []int32) *Max { return NewMaxIn(nil, a) }
-
-// NewMaxIn is NewMax building on the execution context e (nil = default).
-func NewMaxIn(e *parallel.Exec, a []int32) *Max {
-	return NewMaxArena(e, a, nil)
-}
-
-// NewMaxArena is NewMaxIn drawing the internal arrays from the arena ar
-// (nil = plain allocation); release with Free after the last query.
-func NewMaxArena(e *parallel.Exec, a []int32, ar prim.Arena) *Max {
-	m := &Max{}
-	m.a = a
-	m.build(e, lessMax, ar)
-	return m
-}
-
-func lessMin(x, y int32) bool { return x < y }
-func lessMax(x, y int32) bool { return x > y }
-
 // getBuf returns a length-n buffer from ar, or a plain allocation when ar
 // is nil. Every element is overwritten by build, so no zeroing is needed.
 func getBuf(ar prim.Arena, n int) []int32 {
@@ -94,7 +74,7 @@ func getBuf(ar prim.Arena, n int) []int32 {
 	return ar.GetInt32(n)
 }
 
-func (m *Min) build(e *parallel.Exec, better func(x, y int32) bool, ar prim.Arena) {
+func (m *Min) build(e *parallel.Exec, ar prim.Arena) {
 	n := len(m.a)
 	if n == 0 {
 		return
@@ -102,7 +82,7 @@ func (m *Min) build(e *parallel.Exec, better func(x, y int32) bool, ar prim.Aren
 	nb := (n + blockSize - 1) / blockSize
 	m.prefix = getBuf(ar, n)
 	m.suffix = getBuf(ar, n)
-	blockBest := getBuf(ar, nb)
+	blockMin := getBuf(ar, nb)
 	e.ForBlock(nb, 1, func(blo, bhi int) {
 		for b := blo; b < bhi; b++ {
 			lo := b * blockSize
@@ -112,19 +92,15 @@ func (m *Min) build(e *parallel.Exec, better func(x, y int32) bool, ar prim.Aren
 			}
 			best := m.a[lo]
 			for i := lo; i < hi; i++ {
-				if better(m.a[i], best) {
-					best = m.a[i]
-				}
+				best = min(best, m.a[i])
 				m.prefix[i] = best
 			}
 			best = m.a[hi-1]
 			for i := hi - 1; i >= lo; i-- {
-				if better(m.a[i], best) {
-					best = m.a[i]
-				}
+				best = min(best, m.a[i])
 				m.suffix[i] = best
 			}
-			blockBest[b] = m.prefix[hi-1]
+			blockMin[b] = m.prefix[hi-1]
 		}
 	})
 	levels := 1
@@ -132,7 +108,7 @@ func (m *Min) build(e *parallel.Exec, better func(x, y int32) bool, ar prim.Aren
 		levels = bits.Len(uint(nb)) // floor(log2(nb)) + 1
 	}
 	m.table = make([][]int32, levels)
-	m.table[0] = blockBest
+	m.table[0] = blockMin
 	for l := 1; l < levels; l++ {
 		span := 1 << l
 		width := nb - span + 1
@@ -143,24 +119,17 @@ func (m *Min) build(e *parallel.Exec, better func(x, y int32) bool, ar prim.Aren
 		cur := getBuf(ar, width)
 		prev := m.table[l-1]
 		half := span / 2
-		e.ForGrain(width, 2048, func(i int) {
-			x, y := prev[i], prev[i+half]
-			if better(y, x) {
-				x = y
+		e.ForBlock(width, 2048, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				cur[i] = min(prev[i], prev[i+half])
 			}
-			cur[i] = x
 		})
 		m.table[l] = cur
 	}
 }
 
-// Query returns the minimum of a[lo..hi] (inclusive on both ends) for Min.
-func (m *Min) Query(lo, hi int) int32 { return m.query(lo, hi, lessMin) }
-
-// Query returns the maximum of a[lo..hi] (inclusive on both ends) for Max.
-func (m *Max) Query(lo, hi int) int32 { return m.query(lo, hi, lessMax) }
-
-func (m *Min) query(lo, hi int, better func(x, y int32) bool) int32 {
+// Query returns the minimum of a[lo..hi] (inclusive on both ends).
+func (m *Min) Query(lo, hi int) int32 {
 	if lo > hi {
 		panic("rmq: empty query range")
 	}
@@ -172,27 +141,16 @@ func (m *Min) query(lo, hi int, better func(x, y int32) bool) int32 {
 		// but the common full-prefix/suffix cases below are O(1).
 		best := m.a[lo]
 		for i := lo + 1; i <= hi; i++ {
-			if better(m.a[i], best) {
-				best = m.a[i]
-			}
+			best = min(best, m.a[i])
 		}
 		return best
 	}
-	best := m.suffix[lo] // rest of lo's block
-	if better(m.prefix[hi], best) {
-		best = m.prefix[hi] // start of hi's block
-	}
+	// The rest of lo's block and the start of hi's block.
+	best := min(m.suffix[lo], m.prefix[hi])
 	if bh-bl >= 2 {
 		l := bits.Len(uint(bh-bl-1)) - 1 // floor(log2(#middle blocks))
 		t := m.table[l]
-		x := t[bl+1]
-		y := t[bh-(1<<l)]
-		if better(y, x) {
-			x = y
-		}
-		if better(x, best) {
-			best = x
-		}
+		best = min(best, t[bl+1], t[bh-(1<<l)])
 	}
 	return best
 }

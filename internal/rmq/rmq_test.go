@@ -16,16 +16,6 @@ func naiveMin(a []int32, lo, hi int) int32 {
 	return m
 }
 
-func naiveMax(a []int32, lo, hi int) int32 {
-	m := a[lo]
-	for i := lo + 1; i <= hi; i++ {
-		if a[i] > m {
-			m = a[i]
-		}
-	}
-	return m
-}
-
 func TestMinExhaustiveSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 130, 257} {
@@ -38,24 +28,6 @@ func TestMinExhaustiveSmall(t *testing.T) {
 			for hi := lo; hi < n; hi++ {
 				if got, want := q.Query(lo, hi), naiveMin(a, lo, hi); got != want {
 					t.Fatalf("n=%d min[%d,%d] = %d, want %d", n, lo, hi, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestMaxExhaustiveSmall(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 64, 129, 300} {
-		a := make([]int32, n)
-		for i := range a {
-			a[i] = int32(rng.Intn(1000))
-		}
-		q := NewMax(a)
-		for lo := 0; lo < n; lo++ {
-			for hi := lo; hi < n; hi++ {
-				if got, want := q.Query(lo, hi), naiveMax(a, lo, hi); got != want {
-					t.Fatalf("n=%d max[%d,%d] = %d, want %d", n, lo, hi, got, want)
 				}
 			}
 		}
@@ -79,23 +51,6 @@ func TestMinRandomLarge(t *testing.T) {
 	}
 }
 
-func TestMaxRandomLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 100000
-	a := make([]int32, n)
-	for i := range a {
-		a[i] = int32(rng.Intn(1<<30)) - (1 << 29)
-	}
-	q := NewMax(a)
-	for trial := 0; trial < 5000; trial++ {
-		lo := rng.Intn(n)
-		hi := lo + rng.Intn(n-lo)
-		if got, want := q.Query(lo, hi), naiveMax(a, lo, hi); got != want {
-			t.Fatalf("max[%d,%d] = %d, want %d", lo, hi, got, want)
-		}
-	}
-}
-
 func TestSingleElement(t *testing.T) {
 	q := NewMin([]int32{42})
 	if q.Query(0, 0) != 42 {
@@ -112,10 +67,6 @@ func TestFullRange(t *testing.T) {
 	a[n/2] = -5
 	if got := NewMin(a).Query(0, n-1); got != -5 {
 		t.Fatalf("full range min = %d", got)
-	}
-	a[n/3] = 1 << 30
-	if got := NewMax(a).Query(0, n-1); got != 1<<30 {
-		t.Fatalf("full range max = %d", got)
 	}
 }
 

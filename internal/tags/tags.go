@@ -1,7 +1,8 @@
 // Package tags computes the per-vertex tag arrays of the paper's Tagging
 // step (Sec. 4.1): w1/w2 folded over non-tree edges, and low/high obtained
-// from 1-D range min/max queries over the Euler-tour-ordered w1/w2 arrays.
-// Both FAST-BCC and the faithful Tarjan–Vishkin implementation build on it.
+// from 1-D range min/max queries over the Euler-tour-ordered w1/w2 arrays
+// (the max as the complement of a min over ^w2). Both FAST-BCC and the
+// faithful Tarjan–Vishkin implementation build on it.
 package tags
 
 import (
@@ -38,7 +39,9 @@ func Compute(g *graph.Graph, rt *etour.Rooted) *Tags {
 // w1[v] and w2[v], the min and max of first[] over v and its non-tree
 // neighbors, are folded in registers over blocks of 256 vertices. Each
 // vertex belongs to one block, so one plain store per vertex writes them,
-// isolated vertices included, and no arc costs an atomic write.
+// isolated vertices included, and no arc costs an atomic write. Low is a
+// range minimum over w1 in tour order and High the complement of a range
+// minimum over ^w2, so both go through rmq's one min kernel.
 func ComputeIn(e *parallel.Exec, g *graph.Graph, rt *etour.Rooted, sc *graph.Scratch) *Tags {
 	n := int(g.N)
 	first, last, parent := rt.First, rt.Last, rt.Parent
@@ -59,26 +62,32 @@ func ComputeIn(e *parallel.Exec, g *graph.Graph, rt *etour.Rooted, sc *graph.Scr
 			w1[v], w2[v] = lo1, hi1
 		}
 	})
+	// a2 holds ^w2: ^x = -x-1 reverses the order of int32 values and
+	// cannot overflow, so max(w2[range]) = ^min(a2[range]).
 	a1 := sc.GetInt32(len(rt.Tour))
 	a2 := sc.GetInt32(len(rt.Tour))
-	e.For(len(rt.Tour), func(t int) {
-		v := rt.Tour[t]
-		a1[t] = w1[v]
-		a2[t] = w2[v]
+	e.ForBlock(len(rt.Tour), parallel.DefaultGrain, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			v := rt.Tour[t]
+			a1[t] = w1[v]
+			a2[t] = ^w2[v]
+		}
 	})
-	qmin := rmq.NewMinArena(e, a1, sc)
-	qmax := rmq.NewMaxArena(e, a2, sc)
+	qlow := rmq.NewMinArena(e, a1, sc)
+	qhigh := rmq.NewMinArena(e, a2, sc)
 	low := sc.GetInt32(n)
 	high := sc.GetInt32(n)
-	e.For(n, func(v int) {
-		low[v] = qmin.Query(int(first[v]), int(last[v]))
-		high[v] = qmax.Query(int(first[v]), int(last[v]))
+	e.ForBlock(n, parallel.DefaultGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			low[v] = qlow.Query(int(first[v]), int(last[v]))
+			high[v] = ^qhigh.Query(int(first[v]), int(last[v]))
+		}
 	})
 	// The RMQ structures (and their references into a1/a2) die here; the
 	// last queries above have completed, so the tables and buffers can
 	// recirculate through the arena.
-	qmin.Free(sc)
-	qmax.Free(sc)
+	qlow.Free(sc)
+	qhigh.Free(sc)
 	sc.PutInt32(w1, w2, a1, a2)
 	return &Tags{Parent: parent, First: first, Last: last, Low: low, High: high}
 }
