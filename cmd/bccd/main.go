@@ -79,15 +79,14 @@
 //
 // POST /v1/graphs/{name}/edges applies edge insertions and deletions
 // without a rebuild where the decomposition permits: an insertion whose
-// endpoints already share a biconnected and 2-edge-connected block
-// changes no query answer and publishes a new snapshot in O(1)
-// ("fast"); an insertion joining two blocks of one component collapses
-// the block path between its endpoints ("collapsed", the
-// Westbrook–Tarjan rule); everything else — deletions, component-joining
-// or bridge-killing insertions — queues and is drained by ONE coalesced
-// background rebuild per burst (-mutation-coalesce sets the gathering
-// window). Queries always serve the last-good snapshot; the response and
-// stats expose the staleness window (pending/delta_age_ms).
+// endpoints already share a biconnected and 2-edge-connected block (or a
+// self-loop) changes no query answer and publishes a new snapshot in
+// O(1) ("fast"); everything else — deletions, and insertions that join
+// blocks or components or kill a bridge — queues and is drained by ONE
+// coalesced background rebuild per burst (-mutation-coalesce sets the
+// gathering window; "collapsed" is retired and always 0). Queries always
+// serve the last-good snapshot; the response and stats expose the
+// staleness window (pending/delta_age_ms).
 //
 // # Fault tolerance
 //

@@ -15,6 +15,7 @@ import (
 	"repro/internal/bctree"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/persist"
 )
 
@@ -193,9 +194,10 @@ func encodeSnapshot(snap *Snapshot) ([]byte, []persist.Section, error) {
 }
 
 // restoreSnapshot reassembles a serving snapshot from a validated
-// mapping. The returned snapshot's arrays alias m on little-endian
-// hosts; the caller transfers its mapping reference into snap.mapping.
-func restoreSnapshot(m *persist.Mapping, meta *snapshotMeta) (*Snapshot, error) {
+// mapping, running its O(n+m) checks as block loops on e. The returned
+// snapshot's arrays alias m on little-endian hosts; the caller transfers
+// its mapping reference into snap.mapping.
+func restoreSnapshot(e *parallel.Exec, m *persist.Mapping, meta *snapshotMeta) (*Snapshot, error) {
 	sec := func(id uint32, wantLen int, what string) ([]int32, error) {
 		a, ok := m.Section(id)
 		if !ok {
@@ -225,18 +227,28 @@ func restoreSnapshot(m *persist.Mapping, meta *snapshotMeta) (*Snapshot, error) 
 	if n > 0 && offsets[0] != 0 {
 		return nil, errors.New("fastbcc: snapshot restore: graph offsets do not start at 0")
 	}
-	for v := 0; v < n; v++ {
-		if offsets[v] > offsets[v+1] {
-			return nil, errors.New("fastbcc: snapshot restore: graph offsets not monotone")
+	if err := firstErr(e, n, func(lo, hi int) error {
+		for v := lo; v < hi; v++ {
+			if offsets[v] > offsets[v+1] {
+				return errors.New("fastbcc: snapshot restore: graph offsets not monotone")
+			}
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	if n > 0 && int(offsets[n]) != len(adj) {
 		return nil, fmt.Errorf("fastbcc: snapshot restore: offsets close at %d, adjacency has %d arcs", offsets[n], len(adj))
 	}
-	for _, w := range adj {
-		if w < 0 || int(w) >= n {
-			return nil, fmt.Errorf("fastbcc: snapshot restore: adjacency target %d out of range [0,%d)", w, n)
+	if err := firstErr(e, len(adj), func(lo, hi int) error {
+		for _, w := range adj[lo:hi] {
+			if w < 0 || int(w) >= n {
+				return fmt.Errorf("fastbcc: snapshot restore: adjacency target %d out of range [0,%d)", w, n)
+			}
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	label, err := sec(secLabel, n, "labels")
@@ -336,12 +348,19 @@ func restoreSnapshot(m *persist.Mapping, meta *snapshotMeta) (*Snapshot, error) 
 	// Range checks for every array a query indexes with: a value out of
 	// range would turn the first query into a panic.
 	inRange := func(a []int32, lo, hi int, what string) error {
-		for _, v := range a {
-			if int(v) < lo || int(v) >= hi {
-				return fmt.Errorf("fastbcc: snapshot restore: %s value %d out of range [%d,%d)", what, v, lo, hi)
+		return firstErr(e, len(a), func(i, j int) error {
+			for _, v := range a[i:j] {
+				if int(v) < lo || int(v) >= hi {
+					return fmt.Errorf("fastbcc: snapshot restore: %s value %d out of range [%d,%d)", what, v, lo, hi)
+				}
 			}
-		}
-		return nil
+			return nil
+		})
+	}
+	forest := func(par, depth []int32, what string) error {
+		return firstErr(e, len(par), func(lo, hi int) error {
+			return validateForest(par, depth, lo, hi, what)
+		})
 	}
 	for _, chk := range []error{
 		inRange(label, 0, max(meta.NumLabels, 1), "label"),
@@ -358,8 +377,8 @@ func restoreSnapshot(m *persist.Mapping, meta *snapshotMeta) (*Snapshot, error) 
 		inRange(brComp, 0, max(numEcc, 1), "bridge component"),
 		inRange(brFirst, 0, max(len(brTour), 1), "bridge tour first"),
 		inRange(brTour, 0, max(numEcc, 1), "bridge tour depth"),
-		validateForest(bcPar, bcDepth, "block-cut tree"),
-		validateForest(brPar, brDepth, "bridge forest"),
+		forest(bcPar, bcDepth, "block-cut tree"),
+		forest(brPar, brDepth, "bridge forest"),
 	} {
 		if chk != nil {
 			return nil, chk
@@ -410,14 +429,27 @@ func restoreSnapshot(m *persist.Mapping, meta *snapshotMeta) (*Snapshot, error) 
 	}, nil
 }
 
-// validateForest checks that par is a rooted forest with node depths
-// depth, as the tour-walking queries assume: every parent in range, every
-// root at depth 0 and every other node one deeper than its parent. Depth
-// then falls by one at every step up, so there is no cycle, and every
-// walk toward a root ends at one.
-func validateForest(par, depth []int32, what string) error {
-	for v, p := range par {
-		switch {
+// firstErr runs check over the blocks of [0, n) on e and returns the
+// error of the lowest failing block: each block reports its first
+// failure, so the error is the one a sequential scan would return,
+// whatever the schedule.
+func firstErr(e *parallel.Exec, n int, check func(lo, hi int) error) error {
+	return parallel.ReduceIn(e, n, parallel.DefaultGrain, nil, check, func(a, b error) error {
+		if a != nil {
+			return a
+		}
+		return b
+	})
+}
+
+// validateForest checks nodes [lo, hi) of par, a rooted forest with node
+// depths depth, as the tour-walking queries assume: every parent in
+// range, every root at depth 0 and every other node one deeper than its
+// parent. Over all nodes, depth then falls by one at every step up, so
+// there is no cycle, and every walk toward a root ends at one.
+func validateForest(par, depth []int32, lo, hi int, what string) error {
+	for v := lo; v < hi; v++ {
+		switch p := par[v]; {
 		case p < -1 || int(p) >= len(par):
 			return fmt.Errorf("fastbcc: snapshot restore: %s parent %d out of range [-1,%d)", what, p, len(par))
 		case p == -1 && depth[v] != 0:
@@ -542,9 +574,9 @@ func (en *storeEntry) persistState() (string, time.Time) {
 
 // kickPersist marks the entry dirty and ensures a background persister
 // is running. Called after every full-build publish (Load, Rebuild,
-// delta flush) — not after fast/collapse publishes, whose durability the
-// journal already carries; persisting on every overlay bump would turn a
-// mutation burst into a disk-write burst for nothing.
+// delta flush) — not after a fast insertion's overlay publish, whose
+// durability the journal already carries; persisting on every overlay
+// bump would turn a mutation burst into a disk-write burst for nothing.
 func (s *Store) kickPersist(en *storeEntry, name string) {
 	if s.dataDir == "" {
 		return
@@ -770,7 +802,7 @@ func (s *Store) recoverDir(ctx context.Context, dir string) (*RecoveredGraph, er
 	if meta.Format != 1 || meta.Name == "" {
 		return nil, fmt.Errorf("fastbcc: snapshot meta: unsupported format %d or empty name", meta.Format)
 	}
-	snap, err := restoreSnapshot(m, &meta)
+	snap, err := restoreSnapshot(s.runner.exec, m, &meta)
 	if err != nil {
 		return nil, err
 	}

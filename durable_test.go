@@ -25,7 +25,7 @@ func durableStore(dir string) *fastbcc.Store {
 }
 
 // TestDurableRecoveryRoundTrip is the tentpole's core contract: load,
-// mutate (every disposition: fast, collapse, queued, deleted), flush
+// mutate (every disposition: fast, queued, deleted), flush
 // some of it, persist, mutate more WITHOUT persisting — then close,
 // recover in a fresh store, and diff every query against a from-scratch
 // oracle over the full acknowledged edge multiset. The mutations after
@@ -133,8 +133,8 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 }
 
 // TestDurableOverlayInSnapshot is the satellite regression: a snapshot
-// persisted while overlay edges are live (fast/collapse mutations not
-// yet folded by a flush) must carry the overlay, and recovery must
+// persisted while overlay edges are live (fast insertions not yet
+// folded by a flush) must carry the overlay, and recovery must
 // serve it — an overlay edge silently dropped by the encode path would
 // pass every no-mutation test and corrupt exactly the graphs that were
 // mutated before the crash.

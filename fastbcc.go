@@ -215,7 +215,9 @@ func resolveAlgorithm(name string) (string, error) {
 
 // runEngine dispatches one decomposition to the selected engine. exec
 // overrides the Threads-derived context when non-nil, and sc supplies the
-// auxiliary buffers when non-nil (the Runner path passes both).
+// auxiliary buffers when non-nil (the Runner path passes both). Every
+// Result it returns carries the precomputed topology caches, built on the
+// run's context: the engines leave them lazy, as core.BCC does.
 func runEngine(g *Graph, o Options, exec *parallel.Exec, sc *graph.Scratch) (*Result, error) {
 	a, err := engine.Get(o.Algorithm)
 	if err != nil {
@@ -235,6 +237,7 @@ func runEngine(g *Graph, o Options, exec *parallel.Exec, sc *graph.Scratch) (*Re
 	if err != nil {
 		return nil, fmt.Errorf("fastbcc: algorithm %q: %w", a.Name(), err)
 	}
+	res.PrecomputeTopologyIn(opt.Context())
 	return res, nil
 }
 

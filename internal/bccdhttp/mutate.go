@@ -12,11 +12,11 @@ import (
 
 // POST /v1/graphs/{name}/edges mutates a loaded graph in place: a batch
 // of edge insertions and deletions applied through Store.ApplyBatch,
-// which classifies each insertion against the serving decomposition and
-// picks the cheapest exact update (shared-index fast path, bounded
-// block-path collapse, or one coalesced background rebuild). Two
-// encodings are negotiated by Content-Type, mirroring the batch-query
-// endpoint:
+// which classifies each insertion against the serving decomposition: an
+// insertion that changes no answer joins the snapshot's overlay at once
+// (the shared-index fast path), and everything else queues for one
+// coalesced background rebuild. Two encodings are negotiated by
+// Content-Type, mirroring the batch-query endpoint:
 //
 //   - application/json (default):
 //     {"add":[[0,5],[2,3]],"del":[[1,4]],"timeout_ms":50}
@@ -28,7 +28,8 @@ import (
 // The response encoding follows the request's unless an Accept header
 // names the other one. queued > 0 means those entries are not yet
 // visible to queries — pending and delta_age_ms report the staleness
-// window, which closes when the coalesced rebuild publishes.
+// window, which closes when the coalesced rebuild publishes. collapsed
+// is retired and always 0 (see fastbcc.MutationResult).
 
 // jsonMutationRequest is the JSON mutation encoding: edge endpoints as
 // [u,w] pairs.
@@ -120,8 +121,7 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("mutate", "graph", c.name, "version", res.Version,
-		"fast", res.Fast, "collapsed", res.Collapsed, "queued", res.Queued,
-		"pending", res.Pending)
+		"fast", res.Fast, "queued", res.Queued, "pending", res.Pending)
 
 	if wantsBinary(r, c.binary, wire.MutationContentType) {
 		sc.buf = wire.AppendMutationResult(sc.buf[:0], res)

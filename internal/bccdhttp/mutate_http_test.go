@@ -175,15 +175,16 @@ func TestMutationMetricsExactCounts(t *testing.T) {
 		t.Fatalf("load: %d %v", code, body)
 	}
 
-	// 2 fast (parallel edges in the triangle), 1 collapse (0-4 merges
-	// triangle, bridge, and square), 2 rebuild-class deletions.
+	// 2 fast (parallel edges in the triangle), then 3 rebuild-class
+	// mutations: 0-4, whose endpoints are connected but not biconnected,
+	// and 2 deletions.
 	reqBytes := 0
 	for _, m := range []struct {
 		body, class string
 		n           float64
 	}{
 		{`{"add":[[0,2],[1,2]]}`, "fast", 2},
-		{`{"add":[[0,4]]}`, "collapsed", 1},
+		{`{"add":[[0,4]]}`, "queued", 1},
 		{`{"del":[[5,6],[4,5]]}`, "queued", 2},
 	} {
 		code, body := postMutation(t, srv, "demo", m.body)
@@ -196,11 +197,10 @@ func TestMutationMetricsExactCounts(t *testing.T) {
 	got := scrape(t, srv.URL)
 	pending := map[string]float64{
 		`fastbcc_mutations_total{class="fast"}`:                       2,
-		`fastbcc_mutations_total{class="collapse"}`:                   1,
-		`fastbcc_mutations_total{class="rebuild"}`:                    2,
+		`fastbcc_mutations_total{class="rebuild"}`:                    3,
 		`fastbcc_mutation_flush_size_count`:                           0,
-		`fastbcc_pending_deltas`:                                      2,
-		`fastbcc_graph_pending_deltas{graph="demo"}`:                  2,
+		`fastbcc_pending_deltas`:                                      3,
+		`fastbcc_graph_pending_deltas{graph="demo"}`:                  3,
 		`bccd_http_responses_total{endpoint="mutate",code="2xx"}`:     3,
 		`bccd_http_request_duration_seconds_count{endpoint="mutate"}`: 3,
 		// Mutation bodies count under their own endpoint, never the
@@ -217,6 +217,9 @@ func TestMutationMetricsExactCounts(t *testing.T) {
 			t.Errorf("before flush: %s = %v (found %v), want %v", series, g, ok, v)
 		}
 	}
+	if _, ok := got[`fastbcc_mutations_total{class="collapse"}`]; ok {
+		t.Error(`the retired fastbcc_mutations_total{class="collapse"} series is still exported`)
+	}
 	if got[`fastbcc_delta_staleness_seconds`] <= 0 ||
 		got[`fastbcc_graph_delta_staleness_seconds{graph="demo"}`] <= 0 {
 		t.Errorf("staleness gauges not positive with deltas pending: %v / %v",
@@ -230,7 +233,7 @@ func TestMutationMetricsExactCounts(t *testing.T) {
 	got = scrape(t, srv.URL)
 	flushed := map[string]float64{
 		`fastbcc_mutation_flush_size_count`:                   1,
-		`fastbcc_mutation_flush_size_sum`:                     2, // 2 deltas in the one coalesced flush
+		`fastbcc_mutation_flush_size_sum`:                     3, // 3 deltas in the one coalesced flush
 		`fastbcc_pending_deltas`:                              0,
 		`fastbcc_delta_staleness_seconds`:                     0,
 		`fastbcc_graph_pending_deltas{graph="demo"}`:          0,

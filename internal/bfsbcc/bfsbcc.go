@@ -209,10 +209,6 @@ func BCC(g *graph.Graph, opt Options) *core.Result {
 	// per-vertex arrays (parent, level, size, first, last, w1, w2, comp,
 	// labels ≈ 9n) plus connectivity state (≈ 3n) and frontier buffers (2n).
 	res.AuxBytes = int64(n) * 4 * (9 + 3 + 2)
-	// Pre-publication cache init so LabelSizes, ArticulationPoints, and
-	// BlockCutTree stay lock-free afterwards.
-	res.PrecomputeLabelSizes()
-	res.PrecomputeTopologyIn(e)
 	return res
 }
 

@@ -40,6 +40,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -125,10 +126,10 @@ type Result struct {
 	// used to be recomputed — O(n) and with maps — on every call. They are
 	// computed lazily on first use, guarded by topoOnce, so one-shot BCC
 	// callers that never query the topology skip the ~2n int32 of caches
-	// entirely. Serving constructors (Runner, Store, engine.FromBlocks,
-	// bfsbcc, the Index build) precompute them eagerly on their own
-	// execution context via PrecomputeTopologyIn, so published snapshots
-	// have no first-query latency cliff.
+	// entirely. fastbcc's engine dispatch (behind Runner, Store and an
+	// explicit engine selection) and the Index build precompute them
+	// eagerly on their own execution context via PrecomputeTopologyIn, so
+	// published snapshots have no first-query latency cliff.
 	topoOnce  sync.Once
 	artPoints []int32
 	bct       *BlockCutTree
@@ -144,12 +145,6 @@ func computeLabelSizes(r *Result) []int32 {
 	}
 	return count
 }
-
-// PrecomputeLabelSizes populates the LabelSizes cache ahead of
-// publication; constructors that do not fill the cache during their own
-// finalization (bfsbcc.BCC, engine.FromBlocks) call it once. Equivalent
-// to discarding LabelSizes().
-func (r *Result) PrecomputeLabelSizes() { r.LabelSizes() }
 
 // LabelSizes returns the per-label count of non-root member vertices
 // (label l's block has LabelSizes()[l]+1 vertices including its head).
@@ -396,11 +391,17 @@ func (r *Result) Blocks() [][]int32 {
 		if r.Head[l] == -1 {
 			continue
 		}
-		blk := append([]int32{r.Head[l]}, members...)
-		sortInt32(blk) // canonical form
-		blocks = append(blocks, blk)
+		blocks = append(blocks, withHead(members, r.Head[l]))
 	}
 	return blocks
+}
+
+// withHead returns a block's sorted vertex set from its members, which
+// every caller collects in increasing vertex order, and its head, which
+// is never a member of its own label.
+func withHead(members []int32, head int32) []int32 {
+	i, _ := slices.BinarySearch(members, head)
+	return slices.Insert(members, i, head)
 }
 
 // ArticulationPoints returns the articulation points in increasing vertex
@@ -445,10 +446,11 @@ func computeArticulationPoints(e *parallel.Exec, r *Result) []int32 {
 // PrecomputeTopologyIn populates the ArticulationPoints and BlockCutTree
 // caches on the execution context e (nil = the process-global default).
 // core.BCC leaves them lazy (a one-shot decomposition that never queries
-// the topology should not pay ~2n int32 for it); serving constructors —
-// Runner, Store, engine adapters, bfsbcc, the Index build — call this
-// before publishing a snapshot so queries never hit the compute path, and
-// pass their per-run context so the whole build stays on it. Note the
+// the topology should not pay ~2n int32 for it), and so do the other
+// engines. fastbcc's engine dispatch (behind Runner, Store and an
+// explicit engine selection) and the Index build call this before
+// publishing a snapshot so queries never hit the compute path, and pass
+// their per-run context so the whole build stays on it. Note the
 // context only applies when this call is the one that populates the
 // cache. Idempotent and safe to call concurrently with the lazy accessors
 // (all paths funnel through one sync.Once).
@@ -522,12 +524,6 @@ func (r *Result) Bridges(g *graph.Graph) []graph.Edge {
 		return out[a].W < out[b].W
 	})
 	return out
-}
-
-func sortInt32(a []int32) {
-	// Blocks can be as large as the graph (the giant biconnected core of a
-	// social network); use the parallel sample sort.
-	prim.SortInt32(a)
 }
 
 // Biconnected reports whether u and w lie in a common block, in O(1):

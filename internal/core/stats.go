@@ -41,7 +41,5 @@ func (r *Result) Block(label int32) []int32 {
 	members := prim.PackIndices(len(r.Label), func(v int) bool {
 		return r.Label[v] == label && r.Parent[v] != -1
 	})
-	out := append([]int32{r.Head[label]}, members...)
-	sortInt32(out)
-	return out
+	return withHead(members, r.Head[label])
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -61,17 +62,24 @@ func TestBlockMatchesBlocks(t *testing.T) {
 	g := gen.ER(80, 160, 5)
 	res := BCC(g, Options{Seed: 5})
 	blocks := res.Blocks()
-	// Sum of per-label Block() sizes equals the blocks' total size.
-	total := 0
+	// Block(l) over the labels that are blocks, in label order, lists
+	// Blocks(), and every set is strictly increasing: the head lands in
+	// its place among the members.
+	var got [][]int32
 	for l := int32(0); int(l) < res.NumLabels; l++ {
-		total += len(res.Block(l))
+		if b := res.Block(l); b != nil {
+			got = append(got, b)
+		}
 	}
-	want := 0
+	if !slices.EqualFunc(got, blocks, slices.Equal) {
+		t.Fatalf("Block() by label = %v, Blocks() = %v", got, blocks)
+	}
 	for _, b := range blocks {
-		want += len(b)
-	}
-	if total != want {
-		t.Fatalf("Block() total %d != Blocks() total %d", total, want)
+		for i := 1; i < len(b); i++ {
+			if b[i-1] >= b[i] {
+				t.Fatalf("block %v not strictly increasing", b)
+			}
+		}
 	}
 }
 

@@ -96,70 +96,71 @@ func TestTwoECCEqualsFilteredReferenceEngines(t *testing.T) {
 	}
 }
 
-// A MergeBlockPath result still describes the unmerged graph's spanning
-// forest: the merged block's label-size count is what stops the bridges
-// on the collapsed path from being skipped, while g keeps them as bridges.
-// Each engine and graph with a cut vertex runs six chained merges, and a
-// chain with nothing left to merge restarts from the engine's result, so
-// the subtests run are the same whatever the draws.
+// Inserting an edge between two vertices that are connected but not
+// biconnected merges the blocks on the block-cut tree path between them
+// into one, and a Store queues such an insert for a coalesced rebuild.
+// Each engine and graph with a cut vertex runs six chained inserts, each
+// followed by a from-scratch build of the grown graph, and a chain with
+// no cut vertex left restarts from the corpus graph, so the subtests run
+// are the same whatever the draws.
 func TestTwoECCEqualsFilteredReferenceMerged(t *testing.T) {
 	e := parallel.NewExec(4)
 	defer e.Close()
 	corpus := twoECCCorpus()
-	merges := 0
 	for _, a := range engine.All() {
-		for _, name := range slices.Sorted(maps.Keys(corpus)) {
-			g := corpus[name]
-			r0, err := a.Run(g, engine.RunOptions{Exec: e, Seed: 7})
+		build := func(g *graph.Graph) (*core.Result, *bctree.Index) {
+			r, err := a.Run(g, engine.RunOptions{Exec: e, Seed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
-			x0 := bctree.NewIn(e, g, r0)
+			return r, bctree.NewIn(e, g, r)
+		}
+		for _, name := range slices.Sorted(maps.Keys(corpus)) {
+			g0 := corpus[name]
+			_, x0 := build(g0)
 			if x0.NumCutVertices() == 0 {
 				continue // one block per component: no path to merge
 			}
 			rng := rand.New(rand.NewSource(15))
-			r, x := r0, x0
+			g, x := g0, x0
 			for k := 0; k < 6; k++ {
 				if x.NumCutVertices() == 0 {
-					r, x = r0, x0
+					g, x = g0, x0
 				}
-				m := core.MergeBlockPath(e, r, mergePath(rng, g, x))
-				if m == nil {
-					t.Fatalf("%s/%s: merge %d found no path to merge", a.Name(), name, k)
-				}
-				merges++
+				u, v := cutPathPair(rng, g, x)
+				g = graph.MustFromEdges(int(g.N), append(g.Edges(), graph.Edge{U: u, W: v}))
+				var r *core.Result
+				r, x = build(g)
 				t.Run(fmt.Sprintf("%s/%s/merge%d", a.Name(), name, k), func(t *testing.T) {
-					assertTwoECCEqualsFiltered(t, e, m, g)
+					if !x.Biconnected(u, v) {
+						t.Fatalf("%d and %d not biconnected after the insert", u, v)
+					}
+					assertTwoECCEqualsFiltered(t, e, r, g)
 				})
-				r, x = m, bctree.NewIn(e, g, m)
 			}
 		}
-	}
-	if merges < 50 {
-		t.Fatalf("only %d merges ran; the corpus no longer exercises the collapse path", merges)
 	}
 }
 
-// mergePath returns the block labels on the tree path between a random
-// vertex pair that crosses two or more blocks. x must have a cut vertex:
-// when the draws miss, two neighbours of that vertex in different blocks
-// give such a path.
-func mergePath(rng *rand.Rand, g *graph.Graph, x *bctree.Index) []int32 {
+// cutPathPair returns a random vertex pair that is connected but not
+// biconnected, so the block-cut tree path between them crosses a cut
+// vertex. x must have a cut vertex: when the draws miss, two neighbours
+// of that vertex in different blocks give such a pair.
+func cutPathPair(rng *rand.Rand, g *graph.Graph, x *bctree.Index) (int32, int32) {
+	cutPath := func(u, v int32) bool { return u != v && x.Connected(u, v) && !x.Biconnected(u, v) }
 	for try := 0; try < 64; try++ {
 		u, v := int32(rng.Intn(int(g.N))), int32(rng.Intn(int(g.N)))
-		if p := x.PathBlockLabels(u, v); p != nil {
-			return p
+		if cutPath(u, v) {
+			return u, v
 		}
 	}
-	c := x.Tree().Cuts[0]
-	adj := g.Neighbors(c)
+	adj := g.Neighbors(x.Tree().Cuts[0])
 	for _, u := range adj {
 		for _, v := range adj {
-			if p := x.PathBlockLabels(u, v); p != nil {
-				return p
+			if cutPath(u, v) {
+				return u, v
 			}
 		}
 	}
-	return nil
+	panic("cutPathPair: no cut vertex")
 }

@@ -5,15 +5,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 // FromBlocks converts an explicit block decomposition (the native output
 // of the Hopcroft–Tarjan, SM'14, and Tarjan–Vishkin engines) into the
-// paper's O(n) label/head representation over a BFS spanning forest of g,
-// with the same precomputed caches the fastbcc constructors build — so a
-// blocks-based engine plugs into every downstream consumer of core.Result
-// (Index, Store, TwoECC, BlockCutTree).
+// paper's O(n) label/head representation over a BFS spanning forest of g
+// — so a blocks-based engine plugs into every downstream consumer of
+// core.Result (Index, Store, TwoECC, BlockCutTree).
 //
 // The construction leans on a standard fact: an edge of g belongs to
 // exactly one block, and that block is the unique one containing both
@@ -28,9 +26,8 @@ import (
 // forest is a deterministic sequential BFS, so the returned Result is
 // identical across runs — blocks-based engines come out Deterministic
 // even when their internal scheduling is not. FromBlocks takes ownership
-// of blocks and its inner slices. e drives the parallel cache precompute
-// (nil = default context).
-func FromBlocks(e *parallel.Exec, g *graph.Graph, blocks [][]int32) *core.Result {
+// of blocks and its inner slices.
+func FromBlocks(g *graph.Graph, blocks [][]int32) *core.Result {
 	n := int(g.N)
 	for _, b := range blocks {
 		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
@@ -113,8 +110,6 @@ func FromBlocks(e *parallel.Exec, g *graph.Graph, blocks [][]int32) *core.Result
 	// materialized blocks — the O(sum of block sizes) term the paper's
 	// O(n) representation avoids.
 	res.AuxBytes = int64(n)*4*3 + int64(n) + blockBytes
-	res.PrecomputeLabelSizes()
-	res.PrecomputeTopologyIn(e)
 	return res
 }
 

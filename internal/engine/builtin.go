@@ -36,18 +36,12 @@ type fastEngine struct {
 func (f fastEngine) Name() string { return f.name }
 func (f fastEngine) Caps() Caps   { return Caps{} }
 func (f fastEngine) Run(g *graph.Graph, opt RunOptions) (*core.Result, error) {
-	e := opt.Context()
-	res := core.BCC(g, core.Options{
+	return core.BCC(g, core.Options{
 		Seed:        opt.Seed,
 		LocalSearch: f.localSearch || opt.LocalSearch,
 		Scratch:     opt.Scratch,
-		Exec:        e,
-	})
-	// The Algorithm contract: registry results carry the precomputed
-	// topology caches (core.BCC itself leaves them lazy for one-shot
-	// callers).
-	res.PrecomputeTopologyIn(e)
-	return res, nil
+		Exec:        opt.Context(),
+	}), nil
 }
 
 // seqEngine is sequential Hopcroft–Tarjan (the paper's SEQ baseline and
@@ -60,7 +54,7 @@ func (seqEngine) Caps() Caps   { return Caps{Sequential: true, Deterministic: tr
 func (seqEngine) Run(g *graph.Graph, opt RunOptions) (*core.Result, error) {
 	t0 := time.Now()
 	sr := seqbcc.BCC(g)
-	res := FromBlocks(opt.Context(), g, sr.Blocks)
+	res := FromBlocks(g, sr.Blocks)
 	res.Times.LastCC = time.Since(t0)
 	return res, nil
 }
@@ -91,7 +85,7 @@ func (smEngine) Run(g *graph.Graph, opt RunOptions) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := FromBlocks(opt.Context(), g, sr.Blocks())
+	res := FromBlocks(g, sr.Blocks())
 	res.Times.Rooting = sr.Times.Rooting
 	res.Times.LastCC = time.Since(t0) - sr.Times.Rooting
 	return res, nil
@@ -117,7 +111,7 @@ func (tvEngine) Run(g *graph.Graph, opt RunOptions) (*core.Result, error) {
 	t0 := time.Now()
 	e := opt.Context()
 	tr := tv.BCC(g, tv.Options{Seed: opt.Seed, LocalSearch: opt.LocalSearch, Exec: e})
-	res := FromBlocks(e, g, tr.Blocks())
+	res := FromBlocks(g, tr.Blocks())
 	res.Times = tr.Times
 	res.Times.LastCC += time.Since(t0) - tr.Times.Total()
 	res.AuxBytes = tr.AuxBytes

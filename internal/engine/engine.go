@@ -122,10 +122,11 @@ type Algorithm interface {
 	Name() string
 	// Caps reports the engine's restrictions and guarantees.
 	Caps() Caps
-	// Run computes the biconnected components of g. The returned Result
-	// must carry the precomputed label-size and topology caches, like the
-	// fastbcc constructors build, so it can be served and indexed
-	// directly.
+	// Run computes the biconnected components of g. Like core.BCC, it
+	// leaves the Result's topology caches (ArticulationPoints,
+	// BlockCutTree) lazy, so a timed run does only the decomposition;
+	// fastbcc's engine dispatch precomputes them on the run's context
+	// before a Result is served.
 	Run(g *graph.Graph, opt RunOptions) (*core.Result, error)
 }
 

@@ -141,7 +141,7 @@ func TestDeterministicEngines(t *testing.T) {
 // core.Result contract on a graph with cut vertices, bridges, and roots.
 func TestFromBlocksInvariants(t *testing.T) {
 	g := gen.Disjoint(gen.CliqueChain(3, 4), gen.Star(5))
-	res := FromBlocks(nil, g, seqbcc.BCC(g).Blocks)
+	res := FromBlocks(g, seqbcc.BCC(g).Blocks)
 	n := g.NumVertices()
 	if len(res.Label) != n || len(res.Parent) != n {
 		t.Fatalf("bad array lengths")

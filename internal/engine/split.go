@@ -21,8 +21,8 @@ func Normalize(a Algorithm) Algorithm {
 // blockLister is an optional engine interface: an engine whose native
 // output is an explicit block list exposes it so the per-component
 // normalizer consumes blocks directly, instead of having every
-// subgraph's Result adapted (label/head arrays plus topology caches
-// built) only to be flattened back to blocks and re-adapted.
+// subgraph's Result adapted (label/head arrays over a BFS forest) only to
+// be flattened back to blocks and re-adapted.
 type blockLister interface {
 	runBlocks(g *graph.Graph, opt RunOptions) ([][]int32, error)
 }
@@ -110,7 +110,7 @@ func (c *componentSplit) Run(g *graph.Graph, opt RunOptions) (*core.Result, erro
 			blocks = append(blocks, orig)
 		}
 	}
-	return FromBlocks(e, g, blocks), nil
+	return FromBlocks(g, blocks), nil
 }
 
 // inducedSubgraph builds the subgraph on vs (original ids, dense order

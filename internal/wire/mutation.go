@@ -18,6 +18,8 @@ import (
 //	response = u32 frameLen | "bcm1" | i64 version | u32 fast |
 //	           u32 collapsed | u32 queued | u32 pending | i64 deltaAgeNs
 //
+// The collapsed slot is retired and always 0 (fastbcc.MutationResult
+// documents the field); it stays so the frame layout does not change.
 // frameLen counts the bytes after the length prefix; both counts are
 // bounded by MaxMutations and cross-checked against frameLen before any
 // slice is sized from them — the same allocation discipline as the

@@ -159,7 +159,6 @@ type storeMetrics struct {
 	// fixed per series, so per-graph series register lazily on a graph's
 	// first mutation).
 	mutFast      *obs.Counter
-	mutCollapse  *obs.Counter
 	mutRebuild   *obs.Counter
 	mutFlushSize *obs.Histogram
 
@@ -228,8 +227,6 @@ func newStoreMetrics(s *Store) *storeMetrics {
 	m.graphGauges = map[string]bool{}
 	m.mutFast = reg.Counter("fastbcc_mutations_total",
 		"Mutations by classified disposition (see Store.ApplyBatch).", "class", "fast")
-	m.mutCollapse = reg.Counter("fastbcc_mutations_total",
-		"Mutations by classified disposition (see Store.ApplyBatch).", "class", "collapse")
 	m.mutRebuild = reg.Counter("fastbcc_mutations_total",
 		"Mutations by classified disposition (see Store.ApplyBatch).", "class", "rebuild")
 	m.mutFlushSize = reg.Histogram("fastbcc_mutation_flush_size",

@@ -8,8 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/bctree"
-	"repro/internal/core"
 	"repro/internal/faultpoint"
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -20,29 +18,27 @@ import (
 // The paper's pipeline is construction-only: it computes a decomposition
 // from scratch and nothing in it updates one. Serving mutable graphs on
 // top of that would mean a full ~50-90ms rebuild per edge change. This
-// file closes that gap with a classifier (Westbrook & Tarjan's analysis
-// of incremental biconnectivity) that routes every insertion to the
-// cheapest update that stays exactly correct:
+// file closes that gap with a classifier that asks one question of every
+// insertion: does it leave every answer of the serving Index unchanged?
 //
-//   - fast: the endpoints are already biconnected AND two-edge-connected
-//     (or the edge is a self-loop). The new edge changes no query answer
-//     the current Index gives, so ApplyBatch publishes a new snapshot
-//     version that shares the Result/Index and carries the edge in the
-//     snapshot's overlay — O(1), no build, no graph materialization.
-//   - collapse: the endpoints are connected and their block-cut tree
-//     path crosses at least one cut vertex. Adding the edge merges
-//     exactly the blocks on that path into one (Westbrook-Tarjan); the
-//     update is a bounded parallel relabel pass (core.MergeBlockPath)
-//     plus an index rebuild over the merged decomposition — no pipeline
-//     run, no CSR rebuild.
-//   - rebuild: everything else — deletions, component-merging
-//     insertions, parallel edges over a bridge (the blocks survive but
-//     the bridge dies, changing 2ECC answers), and any insertion the
-//     fault injection or a defensive check demotes. These queue in the
-//     entry's delta buffer and are drained by ONE coalesced asynchronous
-//     rebuild behind the usual epoch swap: a burst of N unclassifiable
-//     mutations costs O(1) rebuilds, and queries keep serving the
-//     last-good snapshot with the staleness surfaced in Store.Status.
+//   - fast: yes — the edge is a self-loop, or its endpoints are already
+//     biconnected AND two-edge-connected. ApplyBatch publishes a new
+//     snapshot version that shares the Result/Index and carries the edge
+//     in the snapshot's overlay — O(1), no build, no graph
+//     materialization.
+//   - rebuild: everything else — deletions, insertions whose endpoints
+//     are connected but not biconnected (they merge the blocks on the
+//     block-cut tree path between them), component-merging insertions,
+//     parallel edges over a bridge (the blocks survive but the bridge
+//     dies, changing 2ECC answers), and any insertion the fault injection
+//     demotes. These queue in the entry's delta buffer and are drained by
+//     ONE coalesced asynchronous rebuild behind the usual epoch swap: a
+//     burst of N such mutations costs O(1) rebuilds, and queries keep
+//     serving the last-good snapshot with the staleness surfaced in
+//     Store.Status.
+//
+// So ApplyBatch's synchronous work is O(batch) plus the journal append;
+// no build runs before the ack.
 //
 // Lock order: the entry's build semaphore (sem) is the outer lock, the
 // entry's mutation mutex (mutMu) is a leaf — it may be taken while
@@ -65,13 +61,16 @@ type edgeDelta struct {
 // MutationResult reports how ApplyBatch disposed of one batch.
 type MutationResult struct {
 	// Version is the serving snapshot version after the call's
-	// synchronous work (fast/collapse publishes bump it; queued
+	// synchronous work (a fast insertion's publish bumps it; queued
 	// mutations do not until their coalesced flush lands).
 	Version int64 `json:"version"`
-	// Fast counts insertions applied by the intra-block overlay path,
-	// Collapsed those applied by merging the BC-tree path, Queued the
+	// Fast counts insertions applied by the overlay path, Queued the
 	// mutations deferred to the coalesced delta rebuild.
-	Fast      int `json:"fast"`
+	Fast int `json:"fast"`
+	// Collapsed is retired and always 0. It counted insertions applied
+	// by merging the block-cut tree path between their endpoints, which
+	// now queue; the field stays because the binary result frame has a
+	// fixed slot for it.
 	Collapsed int `json:"collapsed"`
 	Queued    int `json:"queued"`
 	// Pending and DeltaAge describe the entry's whole delta buffer after
@@ -82,41 +81,22 @@ type MutationResult struct {
 	DeltaAge time.Duration `json:"delta_age"`
 }
 
-// mutationClass is the classifier's verdict for one insertion.
-type mutationClass uint8
-
-const (
-	classRebuild mutationClass = iota
-	classFast
-	classCollapse
-)
-
-// classifyAdd routes the insertion {u, w} against idx, the serving
-// index. Each test is an O(1) Index query.
-func classifyAdd(idx *Index, e Edge) mutationClass {
-	u, w := e.U, e.W
-	if u == w {
-		// A self-loop changes no connectivity, biconnectivity, or
-		// 2-edge-connectivity answer.
-		return classFast
-	}
-	if !idx.Connected(u, w) {
-		// Components merge: the spanning forest itself changes shape.
-		return classRebuild
-	}
-	if idx.Biconnected(u, w) {
-		if idx.TwoEdgeConnected(u, w) {
-			return classFast
+// fastAdd reports whether the insertion e leaves every answer of idx,
+// the serving index, unchanged: a self-loop, or endpoints that are
+// already biconnected (which implies connected) and two-edge-connected.
+// Each test is an O(1) Index query. Any failure — the classify
+// faultpoint's error or panic — demotes the insertion to the queue:
+// mutations degrade, they are never lost.
+func fastAdd(idx *Index, e Edge) (fast bool) {
+	defer func() {
+		if recover() != nil {
+			fast = false
 		}
-		// u and w share a block but a bridge separates them: that block
-		// is the bridge's 2-vertex block, and the parallel edge keeps
-		// the blocks intact while killing the bridge — 2ECC and bridge
-		// answers change, so only a rebuild is exact.
-		return classRebuild
+	}()
+	if err := faultpoint.Check(faultpoint.MutateClassify); err != nil {
+		return false
 	}
-	// Connected, not biconnected: the BC-tree path between them crosses
-	// at least one cut vertex, and the edge merges the path's blocks.
-	return classCollapse
+	return e.U == e.W || (idx.Biconnected(e.U, e.W) && idx.TwoEdgeConnected(e.U, e.W))
 }
 
 // canonEdge returns e with U <= W, the form deltas, overlays, and
@@ -143,20 +123,21 @@ func validateEdges(n int, adds, dels []Edge) error {
 
 // ApplyBatch applies the insertions adds and deletions dels to name, in
 // order (all adds, then all dels). Each insertion is classified against
-// the serving snapshot's Index in O(1) and applied by the cheapest exact
-// update — see the file comment for the three classes. Classified
-// insertions publish one new snapshot version synchronously (shared
-// Result/Index for the fast class, a merged decomposition for collapse);
-// deletions and unclassifiable insertions return immediately as Queued
-// and are drained by one coalesced asynchronous rebuild, during which
-// queries keep serving the last-good snapshot (staleness is visible in
-// the result, Store.Status, and Store.Stats).
+// the serving snapshot's Index in O(1) — see the file comment for the two
+// classes. The fast insertions publish one new snapshot version
+// synchronously that shares the Result/Index; deletions and every other
+// insertion return immediately as Queued and are drained by one coalesced
+// asynchronous rebuild, during which queries keep serving the last-good
+// snapshot (staleness is visible in the result, Store.Status, and
+// Store.Stats).
 //
 // Once any delta is pending for the entry, every subsequent mutation
 // queues behind it so the rebuild replays arrival order. Queued deltas
 // survive a failed flush (they re-queue) and die only when the graph
-// itself is replaced by Load. ctx bounds only the synchronous work; the
-// coalesced flush runs on the background with the Store's BuildTimeout.
+// itself is replaced by Load. ctx bounds the synchronous work, which is
+// O(batch) plus the journal append once the entry's build lock is held;
+// the coalesced flush runs on the background with the Store's
+// BuildTimeout.
 func (s *Store) ApplyBatch(ctx context.Context, name string, adds, dels []Edge) (MutationResult, error) {
 	en, err := s.lookup(name)
 	if err != nil {
@@ -207,8 +188,9 @@ func (s *Store) ApplyBatch(ctx context.Context, name string, adds, dels []Edge) 
 }
 
 // enqueueLocked queues the whole batch as rebuild-class deltas and kicks
-// the coalesced flusher. Caller holds en.mutMu (and possibly en.sem —
-// mutMu is a leaf, so both call sites are legal).
+// the coalesced flusher; an empty batch only reports the entry's state.
+// Caller holds en.mutMu (and possibly en.sem — mutMu is a leaf, so both
+// call sites are legal).
 func (s *Store) enqueueLocked(en *storeEntry, name string, adds, dels []Edge) (MutationResult, error) {
 	cur := en.cur.Load()
 	if cur == nil {
@@ -217,17 +199,21 @@ func (s *Store) enqueueLocked(en *storeEntry, name string, adds, dels []Edge) (M
 	if err := validateEdges(cur.Graph.NumVertices(), adds, dels); err != nil {
 		return MutationResult{}, err
 	}
-	// Journal before acknowledging: the record is what makes this batch
-	// durable (a failed append degrades, it does not fail the ack).
-	seq := s.journalAppend(en, name, adds, dels)
-	q := make([]edgeDelta, 0, len(adds)+len(dels))
-	for _, e := range adds {
-		q = append(q, edgeDelta{add: true, e: canonEdge(e), seq: seq})
+	var q []edgeDelta
+	if len(adds)+len(dels) > 0 {
+		// Journal before acknowledging: the record is what makes this
+		// batch durable (a failed append degrades, it does not fail the
+		// ack).
+		seq := s.journalAppend(en, name, adds, dels)
+		q = make([]edgeDelta, 0, len(adds)+len(dels))
+		for _, e := range adds {
+			q = append(q, edgeDelta{add: true, e: canonEdge(e), seq: seq})
+		}
+		for _, e := range dels {
+			q = append(q, edgeDelta{e: canonEdge(e), seq: seq})
+		}
+		s.queueDeltasLocked(en, name, q)
 	}
-	for _, e := range dels {
-		q = append(q, edgeDelta{e: canonEdge(e), seq: seq})
-	}
-	s.queueDeltasLocked(en, name, q)
 	res := MutationResult{Version: cur.Version, Queued: len(q)}
 	res.Pending = len(en.deltaQ) + en.inFlightDeltas
 	if !en.deltaSince.IsZero() {
@@ -253,10 +239,9 @@ func (s *Store) queueDeltasLocked(en *storeEntry, name string, q []edgeDelta) {
 	}
 }
 
-// applyClassified runs the classifier over the batch and publishes at
-// most one new snapshot for the fast/collapse insertions; the rest
-// queues. Caller holds en.sem, no deltas are pending, and en.removed is
-// false.
+// applyClassified runs the classifier over the batch, publishes at most
+// one new snapshot for the fast insertions and queues the rest. Caller
+// holds en.sem, no deltas are pending, and en.removed is false.
 func (s *Store) applyClassified(en *storeEntry, name string, adds, dels []Edge) (MutationResult, error) {
 	cur := en.cur.Load()
 	if cur == nil {
@@ -267,48 +252,24 @@ func (s *Store) applyClassified(en *storeEntry, name string, adds, dels []Edge) 
 	}
 
 	t0 := time.Now()
-	work, idx := cur.Result, cur.Index
-	var queued []edgeDelta
-	var applied []Edge
-	var queuedAdds, queuedDels []Edge
-	fast, collapsed := 0, 0
+	var applied, queued []Edge
 	for _, e := range adds {
-		cls := s.classifyAndMerge(cur, &work, &idx, e)
-		switch cls {
-		case classFast:
-			fast++
+		if fastAdd(cur.Index, e) {
 			applied = append(applied, canonEdge(e))
-		case classCollapse:
-			collapsed++
-			applied = append(applied, canonEdge(e))
-		default:
-			queued = append(queued, edgeDelta{add: true, e: canonEdge(e)})
-			queuedAdds = append(queuedAdds, canonEdge(e))
+		} else {
+			queued = append(queued, e)
 		}
-	}
-	for _, e := range dels {
-		queued = append(queued, edgeDelta{e: canonEdge(e)})
-		queuedDels = append(queuedDels, canonEdge(e))
 	}
 
 	// Journal before acknowledging, as (up to) two records partitioning
 	// the batch: the applied part — reflected in the snapshot published
 	// below, so its seq becomes the snapshot's truncation point — and the
-	// queued residual, whose later seq keeps it in the journal until its
-	// own flush is durably persisted. The split is what makes a crash
-	// anywhere here safe: replay queues each record's edges exactly once.
-	var appliedSeq, queuedSeq uint64
+	// queued residual, journaled by enqueueLocked after it, whose later
+	// seq keeps it in the journal until its own flush is durably
+	// persisted. The split is what makes a crash anywhere here safe:
+	// replay queues each record's edges exactly once.
 	if len(applied) > 0 {
-		appliedSeq = s.journalAppend(en, name, applied, nil)
-	}
-	if len(queued) > 0 {
-		queuedSeq = s.journalAppend(en, name, queuedAdds, queuedDels)
-		for i := range queued {
-			queued[i].seq = queuedSeq
-		}
-	}
-
-	if len(applied) > 0 {
+		appliedSeq := s.journalAppend(en, name, applied, nil)
 		overlay := make([]Edge, 0, len(cur.overlay)+len(applied))
 		overlay = append(overlay, cur.overlay...)
 		overlay = append(overlay, applied...)
@@ -317,8 +278,8 @@ func (s *Store) applyClassified(en *storeEntry, name string, adds, dels []Edge) 
 			Version:   en.version.Add(1),
 			Algorithm: cur.Algorithm,
 			Graph:     cur.Graph,
-			Result:    work,
-			Index:     idx,
+			Result:    cur.Result,
+			Index:     cur.Index,
 			BuiltAt:   time.Now(),
 			BuildTime: time.Since(t0),
 			overlay:   overlay,
@@ -327,53 +288,17 @@ func (s *Store) applyClassified(en *storeEntry, name string, adds, dels []Edge) 
 		// appliedSeq > the previous watermark by construction).
 		en.appliedSeq = appliedSeq
 		s.publish(en, snap, 1) // the store's reference only — nothing returned
-		cur = snap
-	}
-	if fast > 0 {
-		s.metrics.mutFast.Add(int64(fast))
-	}
-	if collapsed > 0 {
-		s.metrics.mutCollapse.Add(int64(collapsed))
+		s.metrics.mutFast.Add(int64(len(applied)))
 	}
 
-	res := MutationResult{Version: cur.Version, Fast: fast, Collapsed: collapsed, Queued: len(queued)}
 	en.mutMu.Lock()
-	s.queueDeltasLocked(en, name, queued)
-	res.Pending = len(en.deltaQ) + en.inFlightDeltas
-	if !en.deltaSince.IsZero() {
-		res.DeltaAge = time.Since(en.deltaSince)
+	defer en.mutMu.Unlock()
+	res, err := s.enqueueLocked(en, name, queued, dels)
+	if err != nil {
+		return MutationResult{}, err
 	}
-	en.mutMu.Unlock()
+	res.Fast = len(applied)
 	return res, nil
-}
-
-// classifyAndMerge classifies one insertion against *idx and, for the
-// collapse class, swaps *work/*idx for the merged decomposition and its
-// fresh index. Any panic (the classify faultpoint, or a defensive
-// failure inside the merge) demotes the insertion to the rebuild class —
-// mutations degrade, they are never lost.
-func (s *Store) classifyAndMerge(cur *Snapshot, work **Result, idx **Index, e Edge) (cls mutationClass) {
-	cls = classRebuild
-	defer func() {
-		if recover() != nil {
-			cls = classRebuild
-		}
-	}()
-	if err := faultpoint.Check(faultpoint.MutateClassify); err != nil {
-		return classRebuild
-	}
-	cls = classifyAdd(*idx, e)
-	if cls != classCollapse {
-		return cls
-	}
-	labels := (*idx).PathBlockLabels(e.U, e.W)
-	merged := core.MergeBlockPath(s.runner.exec, *work, labels)
-	if merged == nil {
-		return classRebuild
-	}
-	*idx = bctree.NewIn(s.runner.exec, cur.Graph, merged)
-	*work = merged
-	return classCollapse
 }
 
 // errDeltasDropped marks a flush whose stolen batch was intentionally

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	fastbcc "repro"
+	"repro/internal/gen"
 )
 
 func canon(e fastbcc.Edge) fastbcc.Edge {
@@ -121,35 +122,87 @@ func TestApplyBatchFastIntraBlock(t *testing.T) {
 	diffIndexes(t, "fast", 7, cur.Index, oracleIndex(t, 7, append(base, fastbcc.Edge{U: 0, W: 1})))
 }
 
-func TestApplyBatchCollapsePath(t *testing.T) {
-	s := fastbcc.NewStore(2)
+// TestApplyBatchQueuesCutPathInserts: an insertion whose endpoints are
+// connected but not biconnected merges the blocks on the block-cut tree
+// path between them, so it queues for the coalesced rebuild like every
+// other insertion that changes an answer; no version is published before
+// the flush.
+func TestApplyBatchQueuesCutPathInserts(t *testing.T) {
+	s := fastbcc.NewStoreWithConfig(fastbcc.StoreConfig{
+		Workers:          2,
+		MutationCoalesce: time.Hour, // only FlushDeltas drains the queue
+	})
 	defer s.Close()
 	g := storeTestGraph(t)
 	snap, err := s.Load(context.Background(), "g", g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v0 := snap.Version
 	snap.Release()
 
-	// 0 (triangle) to 4 (square): the BC-tree path crosses cuts 2 and 3,
-	// so the insertion merges triangle + bridge block + square into one
-	// block — the collapse path, still no pipeline run.
+	// 0 (triangle) to 4 (square): the path crosses cuts 2 and 3.
 	r, err := s.ApplyBatch(context.Background(), "g", []fastbcc.Edge{{U: 0, W: 4}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Collapsed != 1 || r.Fast != 0 || r.Queued != 0 {
-		t.Fatalf("collapse insert result: %+v", r)
+	if r.Queued != 1 || r.Fast != 0 || r.Collapsed != 0 || r.Pending != 1 || r.Version != v0 {
+		t.Fatalf("cut-path insert result: %+v, want 1 queued at version %d", r, v0)
+	}
+	if err := s.FlushDeltas(context.Background(), "g"); err != nil {
+		t.Fatal(err)
 	}
 	cur, err := s.Acquire("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cur.Release()
-	if cur.Index.NumCutsOnPath(0, 4) != 0 || cur.Index.NumBridgesOnPath(0, 4) != 0 {
-		t.Fatal("collapse left cuts or bridges on the 0-4 path")
+	diffIndexes(t, "cut-path", 7, cur.Index, oracleIndex(t, 7, append(g.Edges(), fastbcc.Edge{U: 0, W: 4})))
+	cur.Release()
+
+	// A batch of 64 such inserts on a sampled grid with many blocks.
+	big := gen.SampledGrid(16, 16, 0.6, 3)
+	n := big.NumVertices()
+	snap, err = s.Load(context.Background(), "grid", big, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	diffIndexes(t, "collapse", 7, cur.Index, oracleIndex(t, 7, append(g.Edges(), fastbcc.Edge{U: 0, W: 4})))
+	v0, idx := snap.Version, snap.Index
+	rng := rand.New(rand.NewSource(30))
+	var adds []fastbcc.Edge
+	for len(adds) < 64 {
+		u, w := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if u != w && idx.Connected(u, w) && !idx.Biconnected(u, w) {
+			adds = append(adds, fastbcc.Edge{U: u, W: w})
+		}
+	}
+	snap.Release()
+	r, err = s.ApplyBatch(context.Background(), "grid", adds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Queued != 64 || r.Fast != 0 || r.Collapsed != 0 || r.Pending != 64 || r.Version != v0 {
+		t.Fatalf("64 cut-path inserts: %+v, want 64 queued at version %d", r, v0)
+	}
+	cur, err = s.Acquire("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Version != v0 {
+		t.Fatalf("version %d published before the flush, want %d", cur.Version, v0)
+	}
+	cur.Release()
+	if err := s.FlushDeltas(context.Background(), "grid"); err != nil {
+		t.Fatal(err)
+	}
+	cur, err = s.Acquire("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Release()
+	if cur.Version != v0+1 {
+		t.Fatalf("version after the flush = %d, want one coalesced rebuild to %d", cur.Version, v0+1)
+	}
+	diffIndexes(t, "cut-path batch", n, cur.Index, oracleIndex(t, n, append(big.Edges(), adds...)))
 }
 
 func TestApplyBatchParallelEdgeOverBridge(t *testing.T) {
@@ -283,8 +336,8 @@ func TestApplyBatchValidation(t *testing.T) {
 }
 
 // mutationFamilies are the graph shapes the randomized oracle crosstest
-// runs over: general random, forest (every insertion is a collapse or a
-// component merge), multigraph (self-loops and parallel edges), and
+// runs over: general random, forest (every insertion crosses a cut vertex
+// or merges two components), multigraph (self-loops and parallel edges), and
 // disconnected clusters.
 func mutationFamilies(rng *rand.Rand) map[string]struct {
 	n     int
@@ -347,8 +400,8 @@ func mutationFamilies(rng *rand.Rand) map[string]struct {
 // require: randomized add/del sequences on four graph families, diffing
 // every Index query after each applied mutation against a from-scratch
 // rebuild oracle. Single-mutation batches make the serving edge set
-// deterministic: a mutation either applies (fast/collapse — the serving
-// snapshot now reflects it) or queues (it applies at the next flush).
+// deterministic: a mutation either applies (fast — the serving snapshot
+// now reflects it) or queues (it applies at the next flush).
 func TestMutationOracleRandomized(t *testing.T) {
 	for famName, fam := range mutationFamilies(rand.New(rand.NewSource(42))) {
 		fam := fam
@@ -401,7 +454,7 @@ func TestMutationOracleRandomized(t *testing.T) {
 						t.Fatal(err)
 					}
 					full[e]++
-					if r.Fast+r.Collapsed == 1 {
+					if r.Fast == 1 {
 						served = append(served, e)
 					} else if r.Queued != 1 {
 						t.Fatalf("step %d: add disposed nowhere: %+v", i, r)

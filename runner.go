@@ -113,9 +113,8 @@ func (r *Runner) run(ctx context.Context, g *Graph, opts *Options) (res *Result,
 	ex := r.exec.Limit(o.Threads).WithContext(ctx)
 	arena := r.arenas.Get().(*graph.Scratch)
 	defer r.arenas.Put(arena)
-	// Registry engines return results with the topology caches already
-	// computed on ex, so a published snapshot never hits the lazy
-	// compute path from a query.
+	// runEngine computes the topology caches on ex, so a published
+	// snapshot never hits the lazy compute path from a query.
 	res, err = runEngine(g, o, ex, arena)
 	if err != nil {
 		return nil, err

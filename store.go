@@ -65,15 +65,17 @@ type Snapshot struct {
 	Index  *Index
 	// BuiltAt records when the snapshot was published; BuildTime is the
 	// wall time the decomposition + index build took (for a snapshot
-	// published by a classified mutation, the mutation's apply time).
+	// published by a fast insertion, the mutation's apply time).
 	BuiltAt   time.Time
 	BuildTime time.Duration
 
 	// overlay lists the edges ApplyBatch applied to this snapshot beyond
-	// Graph's CSR — classified insertions that changed no query answer
-	// the Index does not already give (see mutate.go). The next graph
-	// materialization (a delta flush or a Rebuild) folds them into the
-	// CSR. Immutable, like every other snapshot field.
+	// Graph's CSR. Each one is a self-loop or joins two vertices that are
+	// biconnected and two-edge-connected in Graph, so Result and Index,
+	// built for Graph, answer exactly for Graph plus overlay (see
+	// mutate.go). The next graph materialization (a delta flush or a
+	// Rebuild) folds them into the CSR. Immutable, like every other
+	// snapshot field.
 	overlay []Edge
 
 	// mutSeq is the highest journal sequence number fully reflected in
@@ -226,7 +228,7 @@ type storeEntry struct {
 	// lock order: it may be taken while holding sem, but a goroutine
 	// holding mutMu must never wait on sem.
 	mutMu          sync.Mutex
-	deltaQ         []edgeDelta // pending unclassifiable mutations, arrival order
+	deltaQ         []edgeDelta // pending rebuild-class mutations, arrival order
 	deltaSince     time.Time   // arrival of the oldest pending delta
 	inFlightDeltas int         // deltas stolen by a running flush, not yet applied
 	flushing       bool        // a coalesced delta flush is scheduled or running
@@ -350,7 +352,7 @@ type StoreConfig struct {
 	// entry serving its last-good snapshot.
 	BuildTimeout time.Duration
 	// MutationCoalesce is how long a delta flush waits after the first
-	// unclassifiable mutation arrives before rebuilding, so a burst of N
+	// queued mutation arrives before rebuilding, so a burst of N
 	// mutations coalesces into O(1) rebuilds instead of N (0 = flush
 	// immediately; the steal-the-whole-queue drain still coalesces any
 	// mutations that arrive while a flush build is in flight). Mutations
@@ -777,7 +779,7 @@ type GraphStatus struct {
 	// Mutation staleness (see Store.ApplyBatch). PendingDeltas counts
 	// mutations accepted but not yet applied — the serving snapshot does
 	// not reflect them — and DeltaAge is the age of the oldest one.
-	// OverlayEdges counts classified insertions applied to the serving
+	// OverlayEdges counts fast insertions applied to the serving
 	// snapshot but not yet folded into its CSR (queries already reflect
 	// them). DeltaFlushes counts the coalesced delta rebuilds published
 	// for this entry.
